@@ -9,19 +9,14 @@
 // Usage:
 //   openloop_scale                 # deterministic sweep + golden artifact
 //   openloop_scale --perf-compare  # wall-clock: 16-node sharded admission vs
-//                                  # the single-heap baseline, plus the
-//                                  # parallel drain vs the serial drain at the
-//                                  # 1M-user point; exits non-zero if either
-//                                  # does not win (check.sh --perf)
-//   openloop_scale --workers       # event_workers sweep at the 1M-user point
-//                                  # (wall-clock table + BENCH_openloop_workers.json)
+//                                  # the single-heap baseline; exits non-zero
+//                                  # if sharding does not win (check.sh --perf)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -108,142 +103,6 @@ AdmissionRace RaceOnce(uint32_t shards) {
   return race;
 }
 
-// The 1M-user point of the sweep, re-expressed on the shard-confined echo
-// driver so the event queue may legally drain on real threads (DESIGN.md
-// §3h): 16 nodes, one tenant lane per node, 1M users x 1 rps for 250 ms.
-// payload=4096 gives each service a few microseconds of genuine ALU work —
-// the grain the parallel drain spreads across cores.
-ParallelDrainOptions DrainScenario(uint32_t workers) {
-  ParallelDrainOptions options;
-  options.nodes = 16;
-  options.users = 1'000'000;
-  options.rps_per_user = 1.0;
-  options.event_workers = workers;
-  options.payload = 4096;
-  options.horizon = 250 * kMillisecond;
-  options.drain = 100 * kMillisecond;
-  return options;
-}
-
-struct DrainRace {
-  double events_per_sec = 0.0;
-  double wall_ms = 0.0;
-  uint64_t events = 0;
-  uint64_t digest = 0;
-  uint64_t completed = 0;
-  uint64_t windows = 0;
-};
-
-DrainRace DrainOnce(uint32_t workers) {
-  const double start = NowSeconds();
-  const ParallelDrainResult result = RunParallelDrain(CostModel::Default(), DrainScenario(workers));
-  const double elapsed = NowSeconds() - start;
-  DrainRace race;
-  race.events_per_sec = static_cast<double>(result.sim_events) / elapsed;
-  race.wall_ms = elapsed * 1e3;
-  race.events = result.sim_events;
-  race.digest = result.digest;
-  race.completed = result.completed;
-  race.windows = result.windows;
-  return race;
-}
-
-DrainRace DrainBestOf(uint32_t workers, int reps) {
-  DrainRace best;
-  for (int i = 0; i < reps; ++i) {
-    const DrainRace race = DrainOnce(workers);
-    if (race.events_per_sec > best.events_per_sec) {
-      best = race;
-    }
-  }
-  std::printf("%-24s drain %12.0f events/sec  (%7.0f ms wall, %llu events, %llu windows)\n",
-              workers == 1 ? "serial drain" : "parallel drain", best.events_per_sec,
-              best.wall_ms, static_cast<unsigned long long>(best.events),
-              static_cast<unsigned long long>(best.windows));
-  std::printf("TRAJECTORY_JSON {\"bench\": \"openloop_drain\", \"workers\": %u, "
-              "\"events_per_sec\": %.0f, \"wall_ms\": %.0f}\n",
-              workers, best.events_per_sec, best.wall_ms);
-  return best;
-}
-
-// The tentpole gate: the multi-worker drain must beat the serial drain on
-// the same 1M-user workload — and must execute the identical schedule
-// (event count + service digest) while doing so.
-int PerfCompareDrain() {
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 2) {
-    std::printf("perf gate: parallel drain SKIPPED (hardware_concurrency=%u; "
-                "a 1-core host cannot demonstrate a speedup)\n",
-                cores);
-    return 0;
-  }
-  const uint32_t workers = cores >= 4 ? 4u : 2u;
-  const DrainRace serial = DrainBestOf(1, 3);
-  const DrainRace parallel = DrainBestOf(workers, 3);
-  if (serial.events != parallel.events || serial.digest != parallel.digest ||
-      serial.completed != parallel.completed) {
-    std::fprintf(stderr,
-                 "openloop_scale: DETERMINISM VIOLATION: serial (%llu events, digest %llx) "
-                 "vs %u workers (%llu events, digest %llx)\n",
-                 static_cast<unsigned long long>(serial.events),
-                 static_cast<unsigned long long>(serial.digest), workers,
-                 static_cast<unsigned long long>(parallel.events),
-                 static_cast<unsigned long long>(parallel.digest));
-    return 1;
-  }
-  const double ratio = parallel.events_per_sec / serial.events_per_sec;
-  std::printf("parallel/serial drain: %.3fx at %u workers\n", ratio, workers);
-  if (ratio <= 1.0) {
-    std::fprintf(stderr,
-                 "openloop_scale: REGRESSION %u-worker drain (%.0f events/s) did not beat "
-                 "the serial drain (%.0f events/s) at the 1M-user point\n",
-                 workers, parallel.events_per_sec, serial.events_per_sec);
-    return 1;
-  }
-  std::printf("perf gate: %u-worker drain beats serial at the 1M-user point\n", workers);
-  return 0;
-}
-
-int WorkersSweep() {
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("%8s %14s %10s %12s %10s\n", "workers", "events/sec", "wall_ms", "events",
-              "windows");
-  std::string json = "{\n  \"hardware_concurrency\": " + std::to_string(cores) +
-                     ",\n  \"rows\": [\n";
-  bool first = true;
-  uint64_t ref_events = 0;
-  uint64_t ref_digest = 0;
-  for (const uint32_t workers : {1u, 2u, 4u, 8u}) {
-    const DrainRace race = DrainBestOf(workers, 2);
-    std::printf("%8u %14.0f %10.0f %12llu %10llu\n", workers, race.events_per_sec,
-                race.wall_ms, static_cast<unsigned long long>(race.events),
-                static_cast<unsigned long long>(race.windows));
-    if (workers == 1) {
-      ref_events = race.events;
-      ref_digest = race.digest;
-    } else if (race.events != ref_events || race.digest != ref_digest) {
-      std::fprintf(stderr, "openloop_scale: DETERMINISM VIOLATION at workers=%u\n", workers);
-      return 1;
-    }
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "%s    {\"workers\": %u, \"events_per_sec\": %.0f, \"wall_ms\": %.0f, "
-                  "\"events\": %llu, \"windows\": %llu}",
-                  first ? "" : ",\n", workers, race.events_per_sec, race.wall_ms,
-                  static_cast<unsigned long long>(race.events),
-                  static_cast<unsigned long long>(race.windows));
-    json += row;
-    first = false;
-  }
-  json += "\n  ]\n}\n";
-  bench::Note(
-      "identical events and digests across every worker count — the sweep "
-      "varies wall-clock only. Speedups need real cores; on a 1-core host "
-      "the parallel rows pay barrier overhead for nothing.");
-  bench::WriteMetricsJson("openloop_workers", json);
-  return 0;
-}
-
 int PerfCompare() {
   auto best_of = [](uint32_t shards) {
     AdmissionRace best;
@@ -284,21 +143,16 @@ int PerfCompare() {
     return 1;
   }
   std::printf("perf gate: sharded admission beats single heap at 16 nodes\n");
-  return PerfCompareDrain();
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--perf-compare") == 0) {
-    bench::Title("openloop_scale --perf-compare — sharded admission + parallel drain",
-                 "DESIGN.md §3g/§3h perf gates (wall-clock; not golden-diffed)");
+    bench::Title("openloop_scale --perf-compare — sharded vs single-heap admission",
+                 "DESIGN.md §3g perf gate (wall-clock; not golden-diffed)");
     return PerfCompare();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--workers") == 0) {
-    bench::Title("openloop_scale --workers — event_workers sweep at 1M users",
-                 "DESIGN.md §3h: the conservative parallel drain (wall-clock)");
-    return WorkersSweep();
   }
 
   bench::Title("Open-loop scale — 10k/100k/1M simulated users, shed-not-queue",

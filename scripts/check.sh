@@ -6,7 +6,6 @@
 #   scripts/check.sh                   # Release build, all tests
 #   scripts/check.sh address           # AddressSanitizer build (Debug)
 #   scripts/check.sh undefined         # UBSan build (Debug)
-#   scripts/check.sh thread            # ThreadSanitizer build (Debug)
 #   scripts/check.sh --bench-diff      # ...then run the golden bench set
 #                                      # and diff their BENCH_<name>.json
 #                                      # artifacts against bench/goldens/;
@@ -17,7 +16,12 @@
 #   scripts/check.sh --perf            # ...then run bench/simperf and gate
 #                                      # wall-clock events/sec against
 #                                      # bench/perf_baseline.json (fails on a
-#                                      # >2x regression; see DESIGN.md §3c)
+#                                      # >2x regression; see DESIGN.md §3c),
+#                                      # then gate 16-node sharded admission
+#                                      # against the single heap (§3g) and
+#                                      # append both runs' TRAJECTORY_JSON
+#                                      # records to
+#                                      # bench/BENCH_perf_trajectory.json
 #
 # The sanitizer can also be selected via the environment:
 #   NADINO_SANITIZE=address scripts/check.sh
@@ -31,7 +35,7 @@ UPDATE_GOLDENS=0
 PERF_GATE=0
 for arg in "$@"; do
   case "${arg}" in
-    address|undefined|thread) SANITIZER="${arg}" ;;
+    address|undefined) SANITIZER="${arg}" ;;
     --bench-diff) BENCH_DIFF=1 ;;
     --update-goldens)
       BENCH_DIFF=1
@@ -39,7 +43,7 @@ for arg in "$@"; do
       ;;
     --perf) PERF_GATE=1 ;;
     *)
-      echo "usage: $0 [address|undefined|thread] [--bench-diff|--update-goldens] [--perf]" >&2
+      echo "usage: $0 [address|undefined] [--bench-diff|--update-goldens] [--perf]" >&2
       exit 2
       ;;
   esac
@@ -49,9 +53,9 @@ BUILD_DIR=build
 CMAKE_ARGS=()
 if [[ -n "${SANITIZER}" ]]; then
   case "${SANITIZER}" in
-    address|undefined|thread) ;;
+    address|undefined) ;;
     *)
-      echo "NADINO_SANITIZE must be 'address', 'undefined', or 'thread', got '${SANITIZER}'" >&2
+      echo "NADINO_SANITIZE must be 'address' or 'undefined', got '${SANITIZER}'" >&2
       exit 2
       ;;
   esac
@@ -83,28 +87,13 @@ if [[ "${PERF_GATE}" -eq 1 ]]; then
     echo "perf: FAILED (see output above)" >&2
     exit "${PERF_STATUS}"
   fi
-  # Sharded-admission + parallel-drain gates (DESIGN.md §3g/§3h): 16-node
-  # bulk admission must beat the single heap, and the multi-worker drain must
-  # beat the serial drain at the 1M-user point (auto-skipped on 1-core
-  # hosts). Same wall-clock caveats as simperf above.
+  # Sharded-admission gate (DESIGN.md §3g): 16-node bulk admission must beat
+  # the single-heap baseline. Same wall-clock caveats as simperf above.
   PERF_RUN_DIR="$(mktemp -d)"
   echo "perf: running bench/openloop_scale --perf-compare..."
   PERF_STATUS=0
   (cd "${PERF_RUN_DIR}" &&
    "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --perf-compare) \
-    | tee -a "${PERF_LOG}" || PERF_STATUS=$?
-  rm -rf "${PERF_RUN_DIR}"
-  if [[ "${PERF_STATUS}" -ne 0 ]]; then
-    echo "perf: FAILED (see output above)" >&2
-    exit "${PERF_STATUS}"
-  fi
-  # Worker sweep (informational: no gate, but the determinism cross-check
-  # inside the bench still fails the run on a divergent schedule).
-  PERF_RUN_DIR="$(mktemp -d)"
-  echo "perf: running bench/openloop_scale --workers..."
-  PERF_STATUS=0
-  (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --workers) \
     | tee -a "${PERF_LOG}" || PERF_STATUS=$?
   rm -rf "${PERF_RUN_DIR}"
   if [[ "${PERF_STATUS}" -ne 0 ]]; then

@@ -18,11 +18,6 @@ Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
   sim_.SetShardCount(config.event_shards > 0
                          ? config.event_shards
                          : static_cast<uint32_t>(std::max(config.worker_nodes, 1)));
-  // Parallel drain wiring (DESIGN.md §3h): the conservative lookahead is the
-  // cost model's cross-shard delivery floor; with the default
-  // event_workers=1 the drain stays serial and byte-identical.
-  sim_.SetWorkerCount(config.event_workers);
-  sim_.SetLookahead(cost->MinCrossShardDelay());
   // Control-plane hygiene: when membership declares a node dead, every other
   // node's ConnectionService quiesces its idle active QPs toward it (the
   // active -> shadow transition), reclaiming RNIC cache context while the

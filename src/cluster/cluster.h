@@ -44,15 +44,6 @@ struct ClusterConfig {
   // the classic single heap. Any value produces byte-identical runs (the
   // (when, seq) merge in src/sim/simulator.h); shards only change wall-clock.
   uint32_t event_shards = 1;
-  // Drain workers for the simulator (clamped to [1, kMaxWorkers]). 1 = the
-  // serial drain, byte-identical to the pre-parallel simulator. W>1 drains
-  // the shards on W threads as a conservative PDES whose lookahead is
-  // CostModel::MinCrossShardDelay(); runs stay deterministic for a fixed
-  // shard count regardless of W, but callbacks must honour the shard
-  // confinement contract (DESIGN.md §3h) — the full data-plane model does
-  // not yet, so only shard-confined workloads (e.g. RunParallelDrain) may
-  // raise this.
-  uint32_t event_workers = 1;
   // Seeds the cluster Env's PRNG; equal seeds reproduce runs bit-for-bit,
   // including the metrics snapshot (tests/determinism_test.cc).
   uint64_t seed = kDefaultSeed;

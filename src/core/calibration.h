@@ -183,18 +183,6 @@ struct CostModel {
   SimDuration OnDpu(SimDuration host_cost) const {
     return static_cast<SimDuration>(static_cast<double>(host_cost) * dpu_speed_factor + 0.5);
   }
-
-  // Conservative-PDES lookahead for the parallel shard drain (DESIGN.md
-  // §3h): the cheapest way any event can cross from one node's shard to
-  // another is either a fabric hop (propagation out + switch + propagation
-  // in, before any RNIC processing) or — for host<->DPU shard splits — the
-  // Comch-P PCIe channel write. No cross-shard delivery modelled anywhere in
-  // the cost model undercuts this floor, so shards drained in parallel up to
-  // global_min + MinCrossShardDelay() can never miss a remote event.
-  SimDuration MinCrossShardDelay() const {
-    const SimDuration fabric = 2 * link_propagation + switch_latency;
-    return fabric < comch_p_channel ? fabric : comch_p_channel;
-  }
 };
 
 }  // namespace nadino

@@ -1547,122 +1547,4 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   return result;
 }
 
-ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainOptions& options) {
-  const int nodes = std::max(options.nodes, 1);
-  const uint32_t shard_count = static_cast<uint32_t>(std::min<int>(nodes, Simulator::kMaxShards));
-
-  ClusterConfig config;
-  config.worker_nodes = nodes;
-  config.workers_have_dpu = false;  // The driver models the DNE stages itself.
-  config.with_ingress_node = false;
-  config.event_shards = shard_count;
-  config.event_workers = options.event_workers;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
-  // The cluster installed the generic cost-model floor; this workload's
-  // every cross-shard transition is a full fabric hop, so the horizon can be
-  // an order of magnitude deeper (fewer windows, fewer barriers).
-  sim.SetLookahead(OpenLoopShardEchoDriver::HopFloor(cost));
-
-  OpenLoopSource::Options source_options;
-  source_options.tick = options.tick;
-  source_options.horizon = options.horizon;
-  source_options.parallel = true;  // Shard-confined state for every worker count.
-  OpenLoopSource source(cluster.env(), source_options);
-
-  OpenLoopShardEchoDriver driver(cluster.env(), &source, cost, shard_count,
-                                 options.buffers_per_shard);
-
-  const double total_rps = static_cast<double>(options.users) * options.rps_per_user;
-  const double tenant_rps = total_rps / static_cast<double>(nodes);
-  for (int t = 0; t < nodes; ++t) {
-    OpenLoopSource::TenantOptions tenant_options;
-    if (options.diurnal) {
-      tenant_options.schedule =
-          MakeDiurnalSchedule(tenant_rps, options.horizon, /*steps=*/24,
-                              /*trough_multiplier=*/0.5, /*peak_multiplier=*/1.5);
-    } else {
-      tenant_options.schedule.base_rps = tenant_rps;
-    }
-    if (options.flash_crowd_fraction > 0.0) {
-      FlashBurst burst;
-      burst.start = options.horizon / 2;
-      burst.duration = options.horizon / 10;
-      burst.add_rps = options.flash_crowd_fraction * tenant_rps;
-      tenant_options.schedule.bursts.push_back(burst);
-    }
-    tenant_options.shard = static_cast<uint32_t>(t) % shard_count;
-    tenant_options.max_in_flight = options.max_in_flight_per_tenant;
-    source.AddTenant(tenant_options);
-
-    // One tenant per client shard AND per server shard (t -> t+k mod n is a
-    // bijection): single-origin arrival streams per engine keep same-instant
-    // tie order identical between the serial and strided seq schemes.
-    OpenLoopShardEchoDriver::TenantBinding binding;
-    binding.client_shard = tenant_options.shard;
-    binding.server_shard =
-        (tenant_options.shard + std::max(shard_count / 2, 1u)) % shard_count;
-    binding.payload = options.payload;
-    binding.slo_target = options.slo_target;
-    driver.AddTenant(binding);
-  }
-
-  // Per-worker counter lanes (DESIGN.md §3h): each worker counts dispatches
-  // on its own cache line; the epoch barrier's serial section folds them into
-  // the registry counter, so the metric is exact at every window edge without
-  // a single contended atomic on the hot path.
-  CounterLanes lanes = cluster.metrics().ResolveCounterLanes(
-      "parallel_drain_dispatched_total", sim.worker_count());
-  source.SetDispatch([&driver, &lanes, &sim](uint32_t tenant, SimTime issued_at) {
-    const bool ok = driver.Issue(tenant, issued_at);
-    if (ok) {
-      lanes.Increment(sim.current_worker());
-    }
-    return ok;
-  });
-  if (options.event_workers > 1) {
-    sim.SetBarrierHook([&lanes] { lanes.Fold(); });
-  }
-
-  source.Start();
-  sim.RunUntil(options.horizon + options.drain);
-  sim.SetBarrierHook(nullptr);
-  lanes.Fold();  // Serial runs (and the post-join tail) fold here.
-
-  ParallelDrainResult result;
-  result.offered = source.offered();
-  result.dispatched = source.dispatched();
-  result.completed = source.completed();
-  result.shed = source.shed();
-  result.dropped = source.dropped();
-  result.served = driver.served();
-  result.server_drops = driver.server_drops();
-  result.slo_violations = driver.slo_violations();
-  result.digest = driver.digest();
-  result.buffers_leaked = driver.buffers_leaked();
-  const double horizon_seconds = ToSeconds(options.horizon);
-  result.goodput_rps =
-      horizon_seconds > 0 ? static_cast<double>(result.completed) / horizon_seconds : 0.0;
-  const LatencyHistogram latencies = source.MergedLatencies();
-  result.mean_latency_us = latencies.MeanUs();
-  result.p99_latency_us = ToUs(latencies.Percentile(0.99));
-  for (int t = 0; t < nodes; ++t) {
-    const uint32_t tenant = static_cast<uint32_t>(t);
-    result.tenant_completed.push_back(source.tenant_completed(tenant));
-    result.tenant_served.push_back(driver.tenant_served(tenant));
-    result.tenant_shed.push_back(source.tenant_shed(tenant));
-    result.tenant_dropped.push_back(driver.tenant_dropped(tenant));
-    result.tenant_slo_violations.push_back(driver.tenant_slo_violations(tenant));
-  }
-  result.sim_events = sim.events_processed();
-  result.slab_slots = sim.slab_slots();
-  result.heap_spills = sim.callback_heap_spills();
-  result.windows = sim.parallel_windows();
-  result.mail_delivered = sim.parallel_mail_delivered();
-  result.horizon_clamps = sim.parallel_horizon_clamps();
-  result.lane_dispatched = cluster.metrics().ValueOf("parallel_drain_dispatched_total");
-  return result;
-}
-
 }  // namespace nadino

@@ -379,79 +379,6 @@ struct OpenLoopScaleResult {
 OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleOptions& options);
 
 // ---------------------------------------------------------------------------
-// Parallel shard drain (DESIGN.md §3h)
-// ---------------------------------------------------------------------------
-
-// The shard-confined open-loop workload that exercises the simulator's
-// multi-worker drain: one tenant per node, the tenant's client state pinned
-// to its node's event-queue shard, its server engine pinned to the opposite
-// shard, every cross-shard transition a fabric hop >= the installed
-// lookahead (OpenLoopShardEchoDriver::HopFloor). Aggregates are
-// worker-count independent; the parallel drain tests assert exact equality
-// across event_workers in {1, 2, 4, 8} and bench/openloop_scale gates
-// multi-worker wall-clock beating the serial drain at the 1M-user point.
-struct ParallelDrainOptions {
-  int nodes = 16;  // == tenants == event shards: one echo lane per node.
-  uint64_t users = 100000;
-  double rps_per_user = 1.0;
-  uint32_t event_workers = 1;  // Simulator drain threads (1 = serial).
-  // StageWork rounds per service: real ALU work the parallel drain spreads
-  // across cores, and ~payload/4 ns of modeled service time.
-  uint32_t payload = 256;
-  SimDuration tick = 10 * kMillisecond;
-  SimTime horizon = 250 * kMillisecond;
-  SimDuration drain = 100 * kMillisecond;
-  // Effectively uncapped by default: a binding cap makes the shed decision
-  // depend on the order of same-nanosecond cross-shard ties, which the
-  // strided parallel seqs order differently from the serial run (DESIGN.md
-  // §3h, determinism contract). Lower it only in fixed-worker-count runs.
-  uint64_t max_in_flight_per_tenant = 1ull << 30;
-  // Per-shard server buffer pool; sized generously for the same reason —
-  // exhaustion decisions must not ride on tie order.
-  uint64_t buffers_per_shard = 8192;
-  SimDuration slo_target = 1 * kMillisecond;
-  bool diurnal = false;
-  double flash_crowd_fraction = 0.0;
-  uint64_t seed = kDefaultSeed;
-};
-struct ParallelDrainResult {
-  // Source-side accounting (offered == dispatched + shed).
-  uint64_t offered = 0;
-  uint64_t dispatched = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t dropped = 0;
-  // Server-side accounting.
-  uint64_t served = 0;
-  uint64_t server_drops = 0;
-  uint64_t slo_violations = 0;
-  // XOR digest over shard engines: certifies identical request service
-  // timings across worker counts, not merely identical counts.
-  uint64_t digest = 0;
-  uint64_t buffers_leaked = 0;  // 0 after a clean drain.
-  double goodput_rps = 0.0;
-  double mean_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  // Per-tenant lanes (index == tenant index).
-  std::vector<uint64_t> tenant_completed;
-  std::vector<uint64_t> tenant_served;
-  std::vector<uint64_t> tenant_shed;
-  std::vector<uint64_t> tenant_dropped;
-  std::vector<uint64_t> tenant_slo_violations;
-  // Engine-side evidence.
-  uint64_t sim_events = 0;
-  uint64_t slab_slots = 0;
-  uint64_t heap_spills = 0;        // EventCallback heap spills (hot paths: 0).
-  uint64_t windows = 0;            // Conservative windows executed (0 serial).
-  uint64_t mail_delivered = 0;     // Cross-shard events via mailboxes.
-  uint64_t horizon_clamps = 0;     // Windows clamped by the run deadline.
-  // The per-worker CounterLanes demo: dispatched requests counted on each
-  // worker's lane and folded at every window barrier; equals `dispatched`.
-  uint64_t lane_dispatched = 0;
-};
-ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainOptions& options);
-
-// ---------------------------------------------------------------------------
 // NIC-offloaded chain dispatch (DESIGN.md §3i)
 // ---------------------------------------------------------------------------
 

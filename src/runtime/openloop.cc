@@ -103,25 +103,10 @@ bool LoadArrivalTrace(const std::string& path, std::vector<ArrivalSchedule::Trac
   return true;
 }
 
-namespace {
-// SplitMix64 finalizer: decorrelates per-tenant RNG streams from the env
-// seed and from each other.
-uint64_t MixSeed(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 uint32_t OpenLoopSource::AddTenant(const TenantOptions& tenant) {
   const uint32_t index = static_cast<uint32_t>(tenants_.size());
   TenantState state;
   state.opts = tenant;
-  if (options_.parallel) {
-    state.rng = std::make_unique<Rng>(env_->seed() ^ MixSeed(index + 1));
-    state.latencies = std::make_unique<LatencyHistogram>();
-  }
   tenants_.push_back(std::move(state));
   return index;
 }
@@ -147,27 +132,22 @@ void OpenLoopSource::TenantTick(uint32_t tenant) {
   const double rate = state.opts.schedule.RateAt(now);
   const double mean =
       rate * (static_cast<double>(options_.tick) / static_cast<double>(kSecond));
-  // Parallel mode draws from the tenant's private stream and scatters into
-  // its private scratch: ticks for tenants on different shards run
-  // concurrently and must not share RNG state (or each other's draws).
-  Rng& rng = options_.parallel ? *state.rng : env_->rng();
-  std::vector<SimTime>& scratch = options_.parallel ? state.scratch : batch_scratch_;
-  const uint64_t n = rng.Poisson(mean);
+  const uint64_t n = env_->rng().Poisson(mean);
   if (n > 0) {
-    scratch.clear();
-    scratch.reserve(n);
+    batch_scratch_.clear();
+    batch_scratch_.reserve(n);
     const uint64_t span = static_cast<uint64_t>(options_.tick);
     for (uint64_t i = 0; i < n; ++i) {
-      const SimTime at = now + static_cast<SimDuration>(rng.UniformInt(0, span - 1));
+      const SimTime at = now + static_cast<SimDuration>(env_->rng().UniformInt(0, span - 1));
       if (options_.horizon > 0 && at >= options_.horizon) {
         continue;
       }
-      scratch.push_back(at);
+      batch_scratch_.push_back(at);
     }
     // Sorted ascending: ScheduleBatch exploits the order (a sorted run IS a
     // heap) and arrivals admit in time order within the quantum.
-    std::sort(scratch.begin(), scratch.end());
-    sim().ScheduleBatch(state.opts.shard, scratch,
+    std::sort(batch_scratch_.begin(), batch_scratch_.end());
+    sim().ScheduleBatch(state.opts.shard, batch_scratch_,
                         [this, tenant](size_t) { return [this, tenant]() { Admit(tenant); }; });
   }
   sim().ScheduleOn(state.opts.shard, options_.tick, [this, tenant]() { TenantTick(tenant); });
@@ -176,69 +156,32 @@ void OpenLoopSource::TenantTick(uint32_t tenant) {
 void OpenLoopSource::Admit(uint32_t tenant) {
   TenantState& state = tenants_[tenant];
   ++state.offered;
-  if (!options_.parallel) {
-    ++offered_;
-  }
+  ++offered_;
   if (!running_ || dispatch_ == nullptr || state.in_flight >= state.opts.max_in_flight) {
     ++state.shed;
-    if (!options_.parallel) {
-      ++shed_;
-    }
+    ++shed_;
     return;
   }
   const SimTime issued_at = sim().now();
   if (!dispatch_(tenant, issued_at)) {
     ++state.shed;
-    if (!options_.parallel) {
-      ++shed_;
-    }
+    ++shed_;
     return;
   }
   ++state.in_flight;
-  ++state.dispatched;
-  state.in_flight_peak = std::max(state.in_flight_peak, state.in_flight);
-  if (!options_.parallel) {
-    ++dispatched_;
-    ++in_flight_;
-    in_flight_peak_ = std::max(in_flight_peak_, in_flight_);
-  }
+  ++dispatched_;
+  ++in_flight_;
+  in_flight_peak_ = std::max(in_flight_peak_, in_flight_);
 }
 
 void OpenLoopSource::OnComplete(uint32_t tenant, SimTime issued_at) {
   TenantState& state = tenants_[tenant];
   --state.in_flight;
-  ++state.completed;
-  if (options_.parallel) {
-    // Tenant-confined: the completion runs on the tenant's shard, so only
-    // its private histogram is touched (the shared RateMeter stays idle).
-    state.latencies->Record(sim().now() - issued_at);
-    return;
-  }
   --in_flight_;
+  ++state.completed;
   ++completed_;
   latencies_.Record(sim().now() - issued_at);
   rate_.RecordCompletion();
-}
-
-void OpenLoopSource::OnDropped(uint32_t tenant) {
-  TenantState& state = tenants_[tenant];
-  --state.in_flight;
-  ++state.dropped;
-  if (!options_.parallel) {
-    --in_flight_;
-    ++dropped_;
-  }
-}
-
-LatencyHistogram OpenLoopSource::MergedLatencies() const {
-  if (!options_.parallel) {
-    return latencies_;
-  }
-  LatencyHistogram merged;
-  for (const TenantState& state : tenants_) {
-    merged.Merge(*state.latencies);
-  }
-  return merged;
 }
 
 bool OpenLoopGatewayDriver::Issue(SimTime issued_at) {
@@ -295,146 +238,6 @@ void OpenLoopEchoDriver::OnClientMessage(Buffer* buffer) {
   issue_times_.erase(it);
   client_->pool()->Put(buffer, client_->owner_id());
   source_->OnComplete(tenant_, issued_at);
-}
-
-// --- OpenLoopShardEchoDriver -------------------------------------------------
-
-SimDuration OpenLoopShardEchoDriver::HopFloor(const CostModel& cost) {
-  // One direction of the calibrated DNE echo: TX engine stage (DPU-scaled),
-  // RNIC WR processing both ends, and the wire (propagation out + switch +
-  // propagation in). Every cross-shard transition in this driver uses
-  // exactly this delay, so it is also the drain lookahead.
-  return cost.OnDpu(cost.dne_tx_stage) + cost.rnic_wr_tx + 2 * cost.link_propagation +
-         cost.switch_latency + cost.rnic_wr_rx + cost.OnDpu(cost.dne_rx_stage);
-}
-
-uint64_t OpenLoopShardEchoDriver::StageWork(uint64_t tenant, SimTime at, uint32_t rounds) {
-  // FNV-1a-style mixing loop: real ALU work per service (the parallel drain
-  // has actual CPU cost to spread across cores), fully determined by
-  // (tenant, at, rounds) so every worker count computes the same hash.
-  uint64_t h = 1469598103934665603ull ^ (tenant * 0x9e3779b97f4a7c15ull);
-  uint64_t x = static_cast<uint64_t>(at) | 1;
-  for (uint32_t i = 0; i < rounds; ++i) {
-    h = (h ^ x) * 1099511628211ull;
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    h ^= h >> 29;
-  }
-  return h;
-}
-
-OpenLoopShardEchoDriver::OpenLoopShardEchoDriver(Env& env, OpenLoopSource* source,
-                                                 const CostModel& cost, uint32_t shard_count,
-                                                 uint64_t buffers_per_shard)
-    : env_(&env), source_(source), hop_(HopFloor(cost)),
-      service_base_(cost.OnDpu(cost.dne_loop_iteration + cost.dne_sched_op)),
-      engines_(shard_count) {
-  for (ShardEngine& engine : engines_) {
-    engine.buffers_free = buffers_per_shard;
-    engine.buffers_min = buffers_per_shard;
-    engine.buffers_capacity = buffers_per_shard;
-  }
-}
-
-void OpenLoopShardEchoDriver::AddTenant(const TenantBinding& binding) {
-  bindings_.push_back(binding);
-  client_lanes_.emplace_back();
-  server_lanes_.emplace_back();
-}
-
-bool OpenLoopShardEchoDriver::Issue(uint32_t tenant, SimTime issued_at) {
-  const TenantBinding& binding = bindings_[tenant];
-  ++client_lanes_[tenant].issued;
-  sim().ScheduleAtOn(binding.server_shard, sim().now() + hop_,
-                     [this, tenant, issued_at] { OnServer(tenant, issued_at); });
-  return true;
-}
-
-void OpenLoopShardEchoDriver::OnServer(uint32_t tenant, SimTime issued_at) {
-  const TenantBinding& binding = bindings_[tenant];
-  ShardEngine& engine = engines_[binding.server_shard];
-  ++engine.hops_in;
-  if (engine.buffers_free == 0) {
-    // Server-side shed after dispatch: tell the client lane so the source's
-    // in-flight slot is released (on the client shard, one hop later).
-    ++server_lanes_[tenant].dropped;
-    sim().ScheduleAtOn(binding.client_shard, sim().now() + hop_,
-                       [this, tenant] { OnDrop(tenant); });
-    return;
-  }
-  --engine.buffers_free;
-  if (engine.buffers_free < engine.buffers_min) {
-    engine.buffers_min = engine.buffers_free;
-  }
-  const uint64_t hash = StageWork(tenant, issued_at, binding.payload);
-  // Run-to-completion engine: service starts when the core frees up;
-  // per-service time is the calibrated loop+sched base plus hash jitter.
-  const SimDuration service = service_base_ + static_cast<SimDuration>(hash & 0x3FF);
-  const SimTime now = sim().now();
-  const SimTime start = now > engine.busy_until ? now : engine.busy_until;
-  const SimTime done = start + service;
-  engine.busy_until = done;
-  ++engine.served;
-  ++server_lanes_[tenant].served;
-  engine.digest ^= hash ^ (static_cast<uint64_t>(done) * 0x9e3779b97f4a7c15ull);
-  // At `done` the buffer recycles (own shard) and the reply departs (one
-  // hop back to the client shard).
-  sim().ScheduleAt(done, [this, tenant, issued_at, done] {
-    ++engines_[bindings_[tenant].server_shard].buffers_free;
-    sim().ScheduleAtOn(bindings_[tenant].client_shard, done + hop_,
-                       [this, tenant, issued_at] { OnReply(tenant, issued_at); });
-  });
-}
-
-void OpenLoopShardEchoDriver::OnReply(uint32_t tenant, SimTime issued_at) {
-  ClientLane& lane = client_lanes_[tenant];
-  ++lane.completed;
-  const TenantBinding& binding = bindings_[tenant];
-  if (binding.slo_target > 0 && sim().now() - issued_at > binding.slo_target) {
-    ++lane.slo_violations;
-  }
-  source_->OnComplete(tenant, issued_at);
-}
-
-void OpenLoopShardEchoDriver::OnDrop(uint32_t tenant) { source_->OnDropped(tenant); }
-
-uint64_t OpenLoopShardEchoDriver::served() const {
-  uint64_t total = 0;
-  for (const ShardEngine& engine : engines_) {
-    total += engine.served;
-  }
-  return total;
-}
-
-uint64_t OpenLoopShardEchoDriver::server_drops() const {
-  uint64_t total = 0;
-  for (const ServerLane& lane : server_lanes_) {
-    total += lane.dropped;
-  }
-  return total;
-}
-
-uint64_t OpenLoopShardEchoDriver::slo_violations() const {
-  uint64_t total = 0;
-  for (const ClientLane& lane : client_lanes_) {
-    total += lane.slo_violations;
-  }
-  return total;
-}
-
-uint64_t OpenLoopShardEchoDriver::digest() const {
-  uint64_t x = 0;
-  for (const ShardEngine& engine : engines_) {
-    x ^= engine.digest;
-  }
-  return x;
-}
-
-uint64_t OpenLoopShardEchoDriver::buffers_leaked() const {
-  uint64_t leaked = 0;
-  for (const ShardEngine& engine : engines_) {
-    leaked += engine.buffers_capacity - engine.buffers_free;
-  }
-  return leaked;
 }
 
 void OpenLoopEchoDriver::OnServerMessage(FunctionRuntime& server, Buffer* buffer) {

@@ -23,17 +23,14 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/core/calibration.h"
 #include "src/core/env.h"
 #include "src/ingress/gateway.h"
 #include "src/runtime/dataplane.h"
 #include "src/runtime/function.h"
 #include "src/runtime/message_header.h"
-#include "src/sim/random.h"
 #include "src/sim/stats.h"
 
 namespace nadino {
@@ -110,17 +107,6 @@ class OpenLoopSource {
     // Stop generating at this virtual time (0 = until Stop()). In-flight
     // requests still complete, so RunUntil(horizon + drain) settles cleanly.
     SimTime horizon = 0;
-    // Shard-confined mode for the parallel drain (DESIGN.md §3h): every
-    // tenant draws from a private PRNG (seeded env.seed() ^ mix(tenant)),
-    // scatters into a private scratch buffer, and records into a private
-    // latency histogram, so tenants pinned to different shards never touch
-    // shared source state. All accounting is per tenant; the aggregate
-    // accessors fold. The RNG stream differs from the legacy shared stream,
-    // so results are NOT comparable across the two modes — but within this
-    // mode they are identical for every worker count, which is the
-    // equivalence the parallel drain tests assert. Tenants and their
-    // completions must stay on their configured shard.
-    bool parallel = false;
   };
 
   struct TenantOptions {
@@ -151,64 +137,31 @@ class OpenLoopSource {
   // Sink-side completion: closes the latency sample opened at `issued_at`.
   void OnComplete(uint32_t tenant, SimTime issued_at);
 
-  // Sink-side post-dispatch failure (e.g. the server shed the request after
-  // admission): releases the in-flight slot without recording a latency.
-  void OnDropped(uint32_t tenant);
-
-  // Aggregate accounting. offered == dispatched + shed, always. In parallel
-  // mode these fold the per-tenant records.
-  uint64_t offered() const { return Folded(offered_, &TenantState::offered); }
-  uint64_t dispatched() const { return Folded(dispatched_, &TenantState::dispatched); }
-  uint64_t completed() const { return Folded(completed_, &TenantState::completed); }
-  uint64_t shed() const { return Folded(shed_, &TenantState::shed); }
-  uint64_t dropped() const { return Folded(dropped_, &TenantState::dropped); }
-  uint64_t in_flight() const { return Folded(in_flight_, &TenantState::in_flight); }
-  // In parallel mode: the sum of per-tenant peaks (an upper bound on the
-  // instantaneous global peak, which no single thread observes).
-  uint64_t in_flight_peak() const { return Folded(in_flight_peak_, &TenantState::in_flight_peak); }
+  // Aggregate accounting. offered == dispatched + shed, always.
+  uint64_t offered() const { return offered_; }
+  uint64_t dispatched() const { return dispatched_; }
+  uint64_t completed() const { return completed_; }
+  uint64_t shed() const { return shed_; }
+  uint64_t in_flight() const { return in_flight_; }
+  uint64_t in_flight_peak() const { return in_flight_peak_; }
   size_t num_tenants() const { return tenants_.size(); }
 
   uint64_t tenant_offered(uint32_t tenant) const { return tenants_[tenant].offered; }
   uint64_t tenant_shed(uint32_t tenant) const { return tenants_[tenant].shed; }
   uint64_t tenant_completed(uint32_t tenant) const { return tenants_[tenant].completed; }
-  uint64_t tenant_dispatched(uint32_t tenant) const { return tenants_[tenant].dispatched; }
-  uint64_t tenant_dropped(uint32_t tenant) const { return tenants_[tenant].dropped; }
 
   RateMeter& rate() { return rate_; }
   const LatencyHistogram& latencies() const { return latencies_; }
   LatencyHistogram& mutable_latencies() { return latencies_; }
 
-  // Latency distribution across every tenant: the per-tenant histograms
-  // merged in tenant order (parallel mode), or a copy of the shared
-  // histogram (legacy mode).
-  LatencyHistogram MergedLatencies() const;
-
  private:
   struct TenantState {
     TenantOptions opts;
     uint64_t offered = 0;
-    uint64_t dispatched = 0;
     uint64_t completed = 0;
     uint64_t shed = 0;
-    uint64_t dropped = 0;
     uint64_t in_flight = 0;
-    uint64_t in_flight_peak = 0;
-    // Parallel-mode private state (null/empty in legacy mode).
-    std::unique_ptr<Rng> rng;
-    std::unique_ptr<LatencyHistogram> latencies;
-    std::vector<SimTime> scratch;
   };
-
-  uint64_t Folded(uint64_t legacy, uint64_t TenantState::* field) const {
-    if (!options_.parallel) {
-      return legacy;
-    }
-    uint64_t total = 0;
-    for (const TenantState& state : tenants_) {
-      total += state.*field;
-    }
-    return total;
-  }
 
   void TenantTick(uint32_t tenant);
   void Admit(uint32_t tenant);
@@ -222,7 +175,6 @@ class OpenLoopSource {
   uint64_t dispatched_ = 0;
   uint64_t completed_ = 0;
   uint64_t shed_ = 0;
-  uint64_t dropped_ = 0;
   uint64_t in_flight_ = 0;
   uint64_t in_flight_peak_ = 0;
   std::vector<TenantState> tenants_;
@@ -284,108 +236,6 @@ class OpenLoopEchoDriver {
   uint64_t next_request_ = 1;
   uint64_t unmatched_responses_ = 0;
   std::map<uint64_t, SimTime> issue_times_;
-};
-
-// Shard-confined synthetic echo sink for the parallel drain (DESIGN.md
-// §3h): the cost-model-faithful request flow — client node -> fabric hop ->
-// server engine queueing -> fabric hop -> client — re-expressed so that
-// every piece of mutable state belongs to exactly one event-queue shard:
-//
-//   - per-shard ShardEngine (server busy_until run-to-completion queue,
-//     bounded buffer pool, served/drop accounting, an order-independent XOR
-//     digest) touched only by events on that shard;
-//   - per-tenant client lanes (issued/completed/SLO accounting) touched only
-//     on the tenant's client shard, and per-tenant server lanes touched only
-//     on its server shard;
-//   - every cross-shard transition is a ScheduleAtOn with delay >= HopFloor()
-//     (RNIC TX + wire + RNIC RX + the DPU-scaled DNE stages), which is
-//     exactly the lookahead the harness installs.
-//
-// Each service burns real CPU (StageWork: an FNV-style ALU loop over
-// `payload` rounds) so a parallel drain has genuine work to spread across
-// cores, and folds the hash into the shard digest — equal digests across
-// worker counts certify that the same requests were served with the same
-// timings, not merely the same number of them.
-class OpenLoopShardEchoDriver {
- public:
-  struct TenantBinding {
-    uint32_t client_shard = 0;
-    uint32_t server_shard = 0;
-    uint32_t payload = 256;          // StageWork rounds per service.
-    SimDuration slo_target = 0;      // 0 = no SLO accounting.
-  };
-
-  OpenLoopShardEchoDriver(Env& env, OpenLoopSource* source, const CostModel& cost,
-                          uint32_t shard_count, uint64_t buffers_per_shard);
-
-  // One tenant; index must match the OpenLoopSource tenant index.
-  void AddTenant(const TenantBinding& binding);
-
-  // Dispatch hook for OpenLoopSource::SetDispatch. Runs on the tenant's
-  // client shard.
-  bool Issue(uint32_t tenant, SimTime issued_at);
-
-  // The minimum cross-shard delivery latency this driver ever uses — the
-  // correct Simulator::SetLookahead for it.
-  static SimDuration HopFloor(const CostModel& cost);
-
-  // Aggregates (fold per-shard / per-tenant records; call after the run).
-  uint64_t served() const;
-  uint64_t server_drops() const;
-  uint64_t slo_violations() const;
-  uint64_t digest() const;  // XOR over shards: worker-count independent.
-  // Buffers not back in their pools; 0 after a clean drain.
-  uint64_t buffers_leaked() const;
-  uint64_t min_buffers_free(uint32_t shard) const { return engines_[shard].buffers_min; }
-
-  uint64_t tenant_issued(uint32_t tenant) const { return client_lanes_[tenant].issued; }
-  uint64_t tenant_completed(uint32_t tenant) const { return client_lanes_[tenant].completed; }
-  uint64_t tenant_slo_violations(uint32_t tenant) const {
-    return client_lanes_[tenant].slo_violations;
-  }
-  uint64_t tenant_served(uint32_t tenant) const { return server_lanes_[tenant].served; }
-  uint64_t tenant_dropped(uint32_t tenant) const { return server_lanes_[tenant].dropped; }
-
-  // Per-service CPU cost model shared with the bench: `rounds` FNV-style
-  // mixing steps seeded by (tenant, at). Returns the running hash.
-  static uint64_t StageWork(uint64_t tenant, SimTime at, uint32_t rounds);
-
- private:
-  // All state one server shard touches, padded so two workers draining
-  // neighbouring shards never share a line.
-  struct alignas(64) ShardEngine {
-    SimTime busy_until = 0;
-    uint64_t served = 0;
-    uint64_t hops_in = 0;
-    uint64_t buffers_free = 0;
-    uint64_t buffers_min = 0;
-    uint64_t buffers_capacity = 0;
-    uint64_t digest = 0;
-  };
-  struct alignas(64) ClientLane {
-    uint64_t issued = 0;
-    uint64_t completed = 0;
-    uint64_t slo_violations = 0;
-  };
-  struct alignas(64) ServerLane {
-    uint64_t served = 0;
-    uint64_t dropped = 0;
-  };
-
-  void OnServer(uint32_t tenant, SimTime issued_at);
-  void OnReply(uint32_t tenant, SimTime issued_at);
-  void OnDrop(uint32_t tenant);
-
-  Simulator& sim() const { return env_->sim(); }
-
-  Env* env_;
-  OpenLoopSource* source_;
-  SimDuration hop_;
-  SimDuration service_base_;
-  std::vector<TenantBinding> bindings_;
-  std::vector<ShardEngine> engines_;
-  std::vector<ClientLane> client_lanes_;
-  std::vector<ServerLane> server_lanes_;
 };
 
 }  // namespace nadino

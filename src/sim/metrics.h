@@ -140,48 +140,6 @@ class HistogramHandle {
   HistogramMetric* histogram_ = nullptr;
 };
 
-// Per-worker counter lanes for the parallel drain (DESIGN.md §3h): one
-// cache-line-aligned 64-bit accumulator per drain worker, bumped without any
-// synchronization on the hot path, folded into a registry counter at the
-// epoch barrier (the barrier's serial section is the only reader/zeroer, and
-// the barrier itself orders the plain accesses). The registry counter
-// renders exactly like any other counter, so snapshots stay deterministic:
-// fold points are fixed by the window schedule, not by thread timing.
-class CounterLanes {
- public:
-  CounterLanes() = default;
-  CounterLanes(CounterHandle sink, uint32_t lane_count)
-      : sink_(sink), lanes_(lane_count < 1 ? 1 : lane_count) {}
-
-  // Hot path: called by worker `lane` only (lane < lane_count()).
-  void Add(uint32_t lane, uint64_t n = 1) { lanes_[lane].pending += n; }
-  void Increment(uint32_t lane) { ++lanes_[lane].pending; }
-
-  // Fold point: drains every lane into the sink counter. Must run while all
-  // writers are quiesced (the epoch barrier's serial section, or after the
-  // run joins).
-  void Fold() {
-    uint64_t total = 0;
-    for (Lane& lane : lanes_) {
-      total += lane.pending;
-      lane.pending = 0;
-    }
-    if (total != 0) {
-      sink_.Add(total);
-    }
-  }
-
-  uint32_t lane_count() const { return static_cast<uint32_t>(lanes_.size()); }
-  bool resolved() const { return sink_.resolved(); }
-
- private:
-  struct alignas(64) Lane {
-    uint64_t pending = 0;
-  };
-  CounterHandle sink_;
-  std::vector<Lane> lanes_;
-};
-
 // Fixed-bucket histogram over int64 samples (latencies in nanoseconds, byte
 // sizes...). Buckets are cumulative-upper-bound style: sample x lands in the
 // first bucket with x <= bound; samples above the last bound land in the
@@ -260,13 +218,6 @@ class MetricsRegistry {
                                    const std::vector<int64_t>& bounds =
                                        DefaultDurationBoundsNs()) {
     return HistogramHandle(&Histogram(name, labels, bounds));
-  }
-  // Lane-split counter for parallel drain workers: same registration
-  // semantics as ResolveCounter, with one unsynchronized accumulator per
-  // worker folded into the shared value at each epoch barrier.
-  CounterLanes ResolveCounterLanes(const std::string& name, uint32_t lane_count,
-                                   const MetricLabels& labels = {}) {
-    return CounterLanes(ResolveCounter(name, labels), lane_count);
   }
 
   // Registers (or replaces) a callback sampled at snapshot time; rendered

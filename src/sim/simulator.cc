@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <limits>
-#include <thread>
 
 namespace nadino {
 
@@ -9,29 +8,21 @@ namespace {
 constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 }  // namespace
 
-thread_local Simulator::WorkerState* Simulator::tls_ctx_ = nullptr;
-
 Simulator::~Simulator() = default;
 
-uint32_t Simulator::AllocSlot(Arena& arena, uint32_t arena_index) {
-  if (arena.free_head != kNoFreeSlot) {
-    const uint32_t index = arena.free_head;
-    arena.free_head = SlotAt(index).next_free;
+uint32_t Simulator::AllocSlot() {
+  if (free_head_ != kNoFreeSlot) {
+    const uint32_t index = free_head_;
+    free_head_ = SlotAt(index).next_free;
     return index;
   }
-  assert(arena.slot_count < (1u << kArenaLocalBits) && "arena slot space exhausted");
-  if ((arena.slot_count >> kChunkShift) == arena.chunk_count) {
-    if (arena.chunks == nullptr) {
-      arena.chunks = std::make_unique<std::unique_ptr<Slot[]>[]>(Arena::kMaxChunks);
-    }
-    arena.chunks[arena.chunk_count] = std::make_unique<Slot[]>(kChunkSize);
-    ++arena.chunk_count;
+  if ((slot_count_ >> kChunkShift) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
   }
-  return (arena_index << kArenaLocalBits) | arena.slot_count++;
+  return slot_count_++;
 }
 
 void Simulator::FreeSlot(uint32_t index) {
-  Arena& arena = arenas_[index >> kArenaLocalBits];
   Slot& slot = SlotAt(index);
   slot.state = SlotState::kFree;
   // Tag the next tenancy of this slot; skip 0 on wrap so MakeId(0, gen) can
@@ -39,12 +30,11 @@ void Simulator::FreeSlot(uint32_t index) {
   if (++slot.generation == 0) {
     slot.generation = 1;
   }
-  slot.next_free = arena.free_head;
-  arena.free_head = index;
+  slot.next_free = free_head_;
+  free_head_ = index;
 }
 
 void Simulator::SetShardCount(uint32_t shards) {
-  assert(!par_active_ && "SetShardCount during a parallel drain");
   if (shards < 1) {
     shards = 1;
   }
@@ -68,35 +58,13 @@ void Simulator::SetShardCount(uint32_t shards) {
     shards_[0].heap = std::move(pending);
   }
   std::fill(std::begin(head_keys_), std::end(head_keys_), kEmptyHead);
-  RefreshTreeMode();
   SyncHead(0);
-}
-
-void Simulator::SetWorkerCount(uint32_t workers) {
-  assert(!par_active_ && "SetWorkerCount during a parallel drain");
-  if (workers < 1) {
-    workers = 1;
-  }
-  if (workers > kMaxWorkers) {
-    workers = kMaxWorkers;
-  }
-  worker_count_ = workers;
-  if (arenas_.size() < static_cast<size_t>(workers) + 1) {
-    arenas_.resize(workers + 1);
-  }
-}
-
-void Simulator::SetMergeTreeThresholdForTest(int threshold) {
-  merge_tree_threshold_ = threshold < 0 ? kDefaultMergeTreeThreshold : threshold;
-  RefreshTreeMode();
 }
 
 bool Simulator::Cancel(EventId id) {
   const uint32_t index = static_cast<uint32_t>(id >> 32);
   const uint32_t generation = static_cast<uint32_t>(id);
-  const uint32_t arena_index = index >> kArenaLocalBits;
-  if (arena_index >= arenas_.size() ||
-      (index & kArenaLocalMask) >= arenas_[arena_index].slot_count) {
+  if (index >= slot_count_) {
     return false;
   }
   Slot& slot = SlotAt(index);
@@ -104,11 +72,7 @@ bool Simulator::Cancel(EventId id) {
     return false;
   }
   slot.state = SlotState::kCancelled;
-  if (WorkerState* ws = ParallelContext()) {
-    --ws->live_delta;
-  } else {
-    --live_count_;
-  }
+  --live_count_;
   return true;
 }
 
@@ -176,95 +140,23 @@ void Simulator::HeapPopTop(uint32_t shard) {
   SyncHead(shard);
 }
 
-// --- Tournament-tree merge ---------------------------------------------------
-//
-// A tournament (winner) tree over the shard head keys: internal node i holds
-// the WINNING shard of the match between its two subtrees; tree_nodes_[1] is
-// the overall winner, mirrored in tree_winner_. When one leaf's key changes,
-// recomputing the leaf-to-root path costs O(log k) matches — vs the O(k)
-// linear scan. A loser tree would halve the loads per level, but its replay
-// is only sound when the changed leaf is the reigning winner (replacement
-// selection); our pushes update arbitrary leaves, which corrupts stored
-// losers, so the winner layout is the correct structure here.
-// Leaves are padded to a power of two; padding leaves index past the shard
-// count into head_keys_, which carries the +inf sentinel there, so padding
-// can never beat a real, non-empty shard. Ties keep the lower shard index
-// (matching the linear scan; ties only arise between sentinels — (when, seq)
-// is unique for live entries).
-
-void Simulator::RefreshTreeMode() {
-  const uint32_t count = shard_count();
-  tree_active_ = static_cast<int>(count) > merge_tree_threshold_;
-  if (tree_active_ && !par_active_) {
-    TreeBuild();
-  }
-}
-
-void Simulator::TreeBuild() {
-  const uint32_t count = shard_count();
-  tree_cap_ = 1;
-  while (tree_cap_ < count) {
-    tree_cap_ <<= 1;
-  }
-  assert(tree_cap_ <= kMaxShards && "head_keys_ must cover the padding leaves");
-  tree_nodes_.assign(2 * tree_cap_, 0);
-  if (tree_cap_ == 1) {
-    tree_winner_ = 0;
-    tree_nodes_[1] = 0;
-    return;
-  }
-  // Leaves carry their own shard index; internals the winner of their match.
-  for (uint32_t j = 0; j < tree_cap_; ++j) {
-    tree_nodes_[tree_cap_ + j] = j;
-  }
-  for (uint32_t i = tree_cap_ - 1; i >= 1; --i) {
-    const uint32_t a = tree_nodes_[2 * i];
-    const uint32_t b = tree_nodes_[2 * i + 1];
-    tree_nodes_[i] = HeadLess(head_keys_[b], head_keys_[a]) ? b : a;
-  }
-  tree_winner_ = tree_nodes_[1];
-}
-
-void Simulator::TreeReplay(uint32_t leaf) {
-  if (tree_cap_ <= 1) {
-    tree_winner_ = 0;
-    return;
-  }
-  for (uint32_t i = (tree_cap_ + leaf) >> 1; i >= 1; i >>= 1) {
-    const uint32_t a = tree_nodes_[2 * i];
-    const uint32_t b = tree_nodes_[2 * i + 1];
-    tree_nodes_[i] = HeadLess(head_keys_[b], head_keys_[a]) ? b : a;
-  }
-  tree_winner_ = tree_nodes_[1];
-}
-
 int Simulator::EarliestShard() {
   const uint32_t count = static_cast<uint32_t>(shards_.size());
   for (;;) {
-    uint32_t best;
-    if (tree_active_) {
-      // O(log k) merge: the tournament tree keeps the winning head current across
-      // pops and pushes (replayed inside SyncHead).
-      best = tree_winner_;
-      if (HeadEmpty(head_keys_[best])) {
-        return -1;  // The winner is a sentinel: every shard is drained.
+    // The merge scan reads only the compact head_keys_ array (16 bytes per
+    // shard, contiguous); empty shards lose automatically via the sentinel,
+    // so the loop body is a pair of compares the compiler can turn into
+    // conditional moves.
+    uint32_t best = 0;
+    for (uint32_t s = 1; s < count; ++s) {
+      const HeadKey& a = head_keys_[s];
+      const HeadKey& b = head_keys_[best];
+      if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
+        best = s;
       }
-    } else {
-      // The linear merge scan reads only the compact head_keys_ array (16
-      // bytes per shard, contiguous); empty shards lose automatically via
-      // the sentinel, so the loop body is a pair of compares the compiler
-      // can turn into conditional moves.
-      best = 0;
-      for (uint32_t s = 1; s < count; ++s) {
-        const HeadKey& a = head_keys_[s];
-        const HeadKey& b = head_keys_[best];
-        if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
-          best = s;
-        }
-      }
-      if (shards_[best].heap.empty()) {
-        return -1;  // The minimum is the sentinel: every shard is drained.
-      }
+    }
+    if (shards_[best].heap.empty()) {
+      return -1;  // The minimum is the sentinel: every shard is drained.
     }
     // Lazy removal: a cancelled entry is discarded only when it surfaces as
     // the global minimum (one slab probe per executed event; cancelled
@@ -310,25 +202,14 @@ bool Simulator::PopAndRunBefore(SimTime deadline) {
 }
 
 void Simulator::Run() {
-  if (EffectiveWorkers() > 1) {
-    RunParallelUntil(kNoDeadline);
-    return;
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!stopped_.load(std::memory_order_relaxed) && PopAndRunBefore(kNoDeadline)) {
+  stopped_ = false;
+  while (!stopped_ && PopAndRunBefore(kNoDeadline)) {
   }
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  if (EffectiveWorkers() > 1) {
-    RunParallelUntil(deadline);
-    if (now_ < deadline) {
-      now_ = deadline;
-    }
-    return;
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!stopped_.load(std::memory_order_relaxed) && PopAndRunBefore(deadline)) {
+  stopped_ = false;
+  while (!stopped_ && PopAndRunBefore(deadline)) {
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -336,247 +217,8 @@ void Simulator::RunUntil(SimTime deadline) {
 }
 
 bool Simulator::Step() {
-  stopped_.store(false, std::memory_order_relaxed);
+  stopped_ = false;
   return PopAndRunBefore(kNoDeadline);
-}
-
-// --- Parallel drain ----------------------------------------------------------
-
-uint32_t Simulator::EffectiveWorkers() const {
-  const uint32_t shards = static_cast<uint32_t>(shards_.size());
-  return worker_count_ < shards ? worker_count_ : shards;
-}
-
-void Simulator::BarrierWait(const std::function<void()>& serial_section) {
-  const uint32_t my_phase = barrier_.phase.load(std::memory_order_relaxed);
-  if (barrier_.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == barrier_.total) {
-    if (serial_section) {
-      serial_section();
-    }
-    barrier_.arrived.store(0, std::memory_order_relaxed);
-    barrier_.phase.store(my_phase + 1, std::memory_order_release);
-    return;
-  }
-  int spins = 0;
-  while (barrier_.phase.load(std::memory_order_acquire) == my_phase) {
-    if (++spins > 256) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-SimTime Simulator::ComputeLocalMin(const WorkerState& ws) const {
-  SimTime min = kNoDeadline;
-  for (uint32_t s : ws.owned) {
-    // A cancelled head still bounds the minimum conservatively low: the
-    // window it forces is merely smaller than necessary, and the drain loop
-    // discards the entry (progress) the moment it falls inside a window.
-    if (head_keys_[s].when < min) {
-      min = head_keys_[s].when;
-    }
-  }
-  return min;
-}
-
-void Simulator::AdvanceWindow(SimTime deadline) {
-  SimTime global_min = kNoDeadline;
-  for (const WorkerState& ws : workers_) {
-    if (ws.local_min < global_min) {
-      global_min = ws.local_min;
-    }
-  }
-  if (barrier_hook_) {
-    barrier_hook_();
-  }
-  if (stopped_.load(std::memory_order_relaxed) || global_min == kNoDeadline ||
-      global_min > deadline) {
-    win_stop_ = true;
-    return;
-  }
-  ++parallel_windows_;
-  SimTime end = (global_min > kNoDeadline - lookahead_) ? kNoDeadline : global_min + lookahead_;
-  const SimTime cap = (deadline == kNoDeadline) ? kNoDeadline : deadline + 1;
-  if (end > cap) {
-    end = cap;
-    ++parallel_horizon_clamps_;
-  }
-  win_end_ = end;
-  win_stop_ = false;
-}
-
-void Simulator::ParallelFree(WorkerState& ws, uint32_t slot_index) {
-  if ((slot_index >> kArenaLocalBits) == ws.id + 1) {
-    FreeSlot(slot_index);
-  } else {
-    // The slot lives in another arena (serially-admitted events, or the main
-    // slab): its free list is not ours to touch — fold after the join.
-    ws.foreign_frees.push_back(slot_index);
-  }
-}
-
-void Simulator::DrainOwnShard(WorkerState& ws, uint32_t shard) {
-  ws.current_shard = shard;
-  std::vector<HeapEntry>& heap = shards_[shard].heap;
-  while (!heap.empty() && heap.front().when < win_end_) {
-    if (stopped_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const HeapEntry top = heap.front();
-    HeapPopTop(shard);
-    Slot& slot = SlotAt(top.slot);
-    if (slot.state == SlotState::kCancelled) {
-      slot.cb.Reset();
-      ParallelFree(ws, top.slot);
-      continue;
-    }
-    assert(slot.state == SlotState::kLive && "heap entry points at a freed slot");
-    slot.state = SlotState::kRunning;
-    ws.local_now = top.when;
-    if (top.when > ws.max_exec_time) {
-      ws.max_exec_time = top.when;
-    }
-    ++ws.executed;
-    --ws.live_delta;
-    slot.cb.Invoke();
-    slot.cb.Reset();
-    ParallelFree(ws, top.slot);
-  }
-}
-
-void Simulator::FlushMail(WorkerState& ws) {
-  const uint32_t arena_index = ws.id + 1;
-  for (uint32_t s : ws.owned) {
-    std::vector<HeapEntry>& heap = shards_[s].heap;
-    const size_t old_size = heap.size();
-    size_t added = 0;
-    for (WorkerState& src : workers_) {
-      std::vector<Mail>& box = src.outbox[s];
-      for (Mail& mail : box) {
-        const uint32_t slot_index = AllocSlot(arenas_[arena_index], arena_index);
-        Slot& slot = SlotAt(slot_index);
-        slot.state = SlotState::kLive;
-        slot.cb = std::move(mail.cb);
-        heap.push_back(HeapEntry{mail.when, mail.seq, slot_index});
-        ++added;
-      }
-      box.clear();
-    }
-    if (added == 0) {
-      continue;
-    }
-    if (old_size == 0) {
-      std::sort(heap.begin(), heap.end(),
-                [](const HeapEntry& a, const HeapEntry& b) { return Earlier(a, b); });
-    } else if (added >= old_size) {
-      HeapRebuild(heap);
-    } else {
-      for (size_t i = old_size; i < heap.size(); ++i) {
-        SiftUp(heap, i);
-      }
-    }
-    SyncHead(s);
-  }
-}
-
-void Simulator::WorkerLoop(WorkerState& ws, SimTime deadline) {
-  tls_ctx_ = &ws;
-  ws.local_min = ComputeLocalMin(ws);
-  for (;;) {
-    // Barrier B: the last arriver folds the local minima into the next
-    // window (or the stop decision) and runs the barrier hook.
-    BarrierWait([this, deadline] { AdvanceWindow(deadline); });
-    if (win_stop_) {
-      break;
-    }
-    for (uint32_t s : ws.owned) {
-      DrainOwnShard(ws, s);
-    }
-    // Barrier A: every worker has finished executing; outboxes are quiesced
-    // and safe for their destination owners to drain.
-    BarrierWait(nullptr);
-    FlushMail(ws);
-    ws.local_min = ComputeLocalMin(ws);
-  }
-  tls_ctx_ = nullptr;
-}
-
-void Simulator::RunParallelUntil(SimTime deadline) {
-  const uint32_t nworkers = EffectiveWorkers();
-  const uint32_t nshards = shard_count();
-  assert(nworkers > 1);
-  assert(!par_active_ && "re-entrant parallel Run");
-  stopped_.store(false, std::memory_order_relaxed);
-
-  // Stride sequence numbers per origin shard from here on: disjoint from
-  // every serially-assigned seq, unique per (origin, k), and assigned by the
-  // deterministic per-shard execution — never by thread interleaving.
-  par_seq_base_ = next_seq_;
-  for (Shard& shard : shards_) {
-    shard.par_seq_next = 0;
-  }
-
-  workers_.clear();
-  workers_.resize(nworkers);
-  for (uint32_t w = 0; w < nworkers; ++w) {
-    WorkerState& ws = workers_[w];
-    ws.sim = this;
-    ws.id = w;
-    ws.local_now = now_;
-    ws.max_exec_time = now_;
-    ws.outbox.resize(nshards);
-    for (uint32_t s = w; s < nshards; s += nworkers) {
-      ws.owned.push_back(s);
-    }
-  }
-  barrier_.arrived.store(0, std::memory_order_relaxed);
-  barrier_.phase.store(0, std::memory_order_relaxed);
-  barrier_.total = nworkers;
-  win_stop_ = false;
-  par_active_ = true;
-
-  std::vector<std::thread> threads;
-  threads.reserve(nworkers - 1);
-  for (uint32_t w = 1; w < nworkers; ++w) {
-    threads.emplace_back([this, w, deadline] { WorkerLoop(workers_[w], deadline); });
-  }
-  WorkerLoop(workers_[0], deadline);
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  par_active_ = false;
-
-  // Fold the per-worker state back into the serial view.
-  uint64_t max_par_next = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.par_seq_next > max_par_next) {
-      max_par_next = shard.par_seq_next;
-    }
-  }
-  next_seq_ = par_seq_base_ + static_cast<uint64_t>(nshards) * max_par_next;
-  int64_t live_delta = 0;
-  SimTime max_exec = now_;
-  for (WorkerState& ws : workers_) {
-    events_processed_ += ws.executed;
-    live_delta += ws.live_delta;
-    callback_heap_spills_ += ws.spills;
-    parallel_mail_delivered_ += ws.mailed;
-    if (ws.max_exec_time > max_exec) {
-      max_exec = ws.max_exec_time;
-    }
-    for (uint32_t slot_index : ws.foreign_frees) {
-      FreeSlot(slot_index);
-    }
-    ws.foreign_frees.clear();
-    ws.sim = nullptr;
-  }
-  live_count_ = static_cast<size_t>(static_cast<int64_t>(live_count_) + live_delta);
-  if (max_exec > now_) {
-    now_ = max_exec;
-  }
-  current_shard_ = 0;
-  if (tree_active_) {
-    TreeBuild();
-  }
 }
 
 }  // namespace nadino

@@ -7,7 +7,7 @@
 // scheduling order. This total order plus a seeded PRNG makes every
 // experiment in this repository exactly reproducible.
 //
-// Hot-path design (DESIGN.md §3c, §3g, §3h):
+// Hot-path design (DESIGN.md §3c, §3g):
 //  - Event callbacks live inline in slab slots (small-buffer optimization,
 //    kInlineBytes of capture storage); only oversized captures fall back to
 //    the heap (counted by callback_heap_spills()), so a steady-state event
@@ -18,59 +18,24 @@
 //    generation tag, making Cancel() an O(1) slot probe (no hash set) with
 //    stale-id safety across slot reuse.
 //  - Cancelled slots are discarded lazily when their heap entry surfaces at a
-//    shard head, exactly once per surfacing.
+//    shard head, exactly once per surfacing (the single EarliestShard() path).
 //  - Sharding (§3g): SetShardCount(k) splits the queue into k independent
-//    heaps merged on (when, seq). Because (when, seq) is a strict total
-//    order assigned at Schedule time, the executed event sequence — and with
-//    it every metric snapshot — is byte-identical for ANY shard count.
-//  - The merge itself (§3h satellite): a linear scan of the cached shard
-//    head keys for small shard counts, a tournament (winner) tree above
-//    merge_tree_threshold_ shards — O(log k) replay per pop instead of O(k).
+//    heaps merged by a linear scan of the cached head keys on (when, seq).
+//    Because (when, seq) is a strict total order assigned at Schedule time,
+//    the executed event sequence — and with it every metric snapshot — is
+//    byte-identical for ANY shard count; sharding only changes sift depth and
+//    cache locality. Big topologies map per-node admission onto per-node
+//    shards so a million-arrival workload never serializes on one deep heap.
 //  - ScheduleBatch() admits many events in one call: equivalent to per-item
 //    ScheduleAt in index order (same seq assignment), but the appended run
 //    is pre-sorted into an empty shard or bulk-rebuilt bottom-up (Floyd)
 //    when it dominates the shard. Pass `ids` to receive cancellable
 //    EventIds for each admitted entry.
-//
-// Parallel drain (§3h tentpole): SetWorkerCount(W>1) makes Run()/RunUntil()
-// drain the shards on W real threads as a conservative parallel DES:
-//  - Each worker owns the shards with index ≡ worker (mod W) and drains them
-//    independently inside a window [global_min, global_min + lookahead): the
-//    lookahead is the minimum cross-shard delivery latency (SetLookahead,
-//    wired from CostModel::MinCrossShardDelay by the cluster layer), so no
-//    event a remote shard could still produce can land inside the window.
-//  - Schedules targeting a different shard than the one executing are not
-//    pushed directly (that would race, and would make behaviour depend on
-//    which worker happens to own the destination): they are buffered in
-//    per-(worker, destination-shard) mailboxes and flushed into the owning
-//    heap at the epoch barrier. Routing through the mailbox for EVERY
-//    cross-shard schedule — even when source and destination happen to share
-//    a worker — keeps the per-shard executed sequence a function of the
-//    shard count alone, so runs are deterministic for a fixed shard count
-//    regardless of worker count.
-//  - Sequence numbers in parallel mode are strided per origin shard
-//    (seq = base + origin + nshards*k), assigned by the deterministic
-//    per-shard execution, so the (when, seq) total order never depends on
-//    thread interleaving. Serial mode is untouched: SetWorkerCount(1) — the
-//    default — takes exactly the pre-parallel code path, byte for byte.
-//  - Slab slots are partitioned into per-worker arenas (index bits above
-//    kArenaLocalBits name the arena) so allocation never contends; frees
-//    into a foreign arena (events admitted serially before the parallel
-//    run) are deferred per worker and folded after the join.
-//  - An epoch barrier (sense-free phase-counter spin barrier, yielding after
-//    a bounded spin) separates the execute and flush phases; the last
-//    arriver computes the next window, runs the barrier hook (per-worker
-//    metric-lane folding, SetBarrierHook), and publishes.
-// Contract for callbacks that run under workers>1: cross-shard schedules
-// must use delays >= lookahead (the cluster wiring guarantees this for
-// fabric/Comch crossings), callbacks may only Cancel events resident on
-// their own shard, and shared mutable state must be shard-confined.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -206,23 +171,16 @@ class Simulator {
   // Upper bound on event-queue shards; one per node is the intended mapping,
   // so this matches the largest topology the benches sweep.
   static constexpr uint32_t kMaxShards = 64;
-  // Upper bound on drain workers; bounded by the arena index bits (slot
-  // indices reserve the bits above kArenaLocalBits for the arena id).
-  static constexpr uint32_t kMaxWorkers = 32;
 
-  Simulator() : shards_(1), arenas_(1) {
+  Simulator() : shards_(1) {
     std::fill(std::begin(head_keys_), std::end(head_keys_), kEmptyHead);
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  // Current virtual time. Only advances inside Run*/Step. Under a parallel
-  // drain, a worker-context caller sees its shard-local clock.
-  SimTime now() const {
-    const WorkerState* ws = tls_ctx_;
-    return (ws != nullptr && ws->sim == this) ? ws->local_now : now_;
-  }
+  // Current virtual time. Only advances inside Run*/Step.
+  SimTime now() const { return now_; }
 
   // Splits the event queue into `shards` independent heaps (clamped to
   // [1, kMaxShards]) merged deterministically on (when, seq). The executed
@@ -231,26 +189,6 @@ class Simulator {
   // taken modulo the shard count, so `node_id % anything` is always safe.
   void SetShardCount(uint32_t shards);
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
-
-  // Number of drain workers for Run()/RunUntil(), clamped to
-  // [1, kMaxWorkers]. 1 (the default) is the serial path, byte-identical to
-  // the pre-parallel simulator. W>1 drains the shards on W threads as a
-  // conservative PDES (see the header comment); runs are deterministic for a
-  // fixed shard count independent of W. More workers than shards is clamped
-  // at run time.
-  void SetWorkerCount(uint32_t workers);
-  uint32_t worker_count() const { return worker_count_; }
-
-  // The conservative lookahead: the minimum latency of any cross-shard
-  // delivery (clamped to >= 1 ns). Callbacks running under workers>1 must
-  // not schedule onto a different shard with a delay below this.
-  void SetLookahead(SimDuration lookahead) { lookahead_ = lookahead < 1 ? 1 : lookahead; }
-  SimDuration lookahead() const { return lookahead_; }
-
-  // Hook run single-threadedly by the epoch barrier's last arriver once per
-  // window (all workers quiesced): the fold point for per-worker metric
-  // lanes (CounterLanes). Also invoked once after the final window.
-  void SetBarrierHook(std::function<void()> hook) { barrier_hook_ = std::move(hook); }
 
   // Schedules `f` to run `delay` nanoseconds from now. Negative delays clamp
   // to zero (fire this instant, after already-queued same-instant events).
@@ -261,14 +199,14 @@ class Simulator {
   // heap carries the entry.
   template <typename F>
   EventId Schedule(SimDuration delay, F&& f) {
-    return ScheduleOn(CurrentShard(), delay, std::forward<F>(f));
+    return ScheduleOn(current_shard_, delay, std::forward<F>(f));
   }
 
   // Schedules `f` at an absolute virtual time (clamped to >= now()). Same
   // shard inheritance as Schedule().
   template <typename F>
   EventId ScheduleAt(SimTime when, F&& f) {
-    return ScheduleAtOn(CurrentShard(), when, std::forward<F>(f));
+    return ScheduleAtOn(current_shard_, when, std::forward<F>(f));
   }
 
   // Shard-targeted variants: identical semantics, but the event lives on the
@@ -278,23 +216,15 @@ class Simulator {
     if (delay < 0) {
       delay = 0;
     }
-    return ScheduleAtOn(shard, now() + delay, std::forward<F>(f));
+    return ScheduleAtOn(shard, now_ + delay, std::forward<F>(f));
   }
 
-  // Under a parallel drain, a cross-shard schedule is buffered in the
-  // worker's mailbox and admitted at the next epoch barrier; it returns
-  // kInvalidEventId (the slot does not exist yet), so cross-shard events
-  // cannot be individually cancelled in parallel mode. Same-shard schedules
-  // always return a live, cancellable id.
   template <typename F>
   EventId ScheduleAtOn(uint32_t shard, SimTime when, F&& f) {
-    if (WorkerState* ws = ParallelContext()) {
-      return ParallelScheduleAtOn(ws, shard, when, std::forward<F>(f));
-    }
     if (when < now_) {
       when = now_;
     }
-    const uint32_t slot_index = AllocSlot(arenas_[0], 0);
+    const uint32_t slot_index = AllocSlot();
     Slot& slot = SlotAt(slot_index);
     slot.state = SlotState::kLive;
     callback_heap_spills_ += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
@@ -314,22 +244,11 @@ class Simulator {
   //  - small batches fall back to per-entry sift-up.
   // Timestamps clamp to >= now(). When `ids` is non-null it receives one
   // EventId per entry (appended in index order), each individually
-  // cancellable exactly like a ScheduleAtOn id. Under a parallel drain the
-  // batch degrades to per-item admission through the worker path (mailboxed
-  // when cross-shard, ids kInvalidEventId for those entries).
+  // cancellable exactly like a ScheduleAtOn id.
   template <typename MakeFn>
   void ScheduleBatch(uint32_t shard, const std::vector<SimTime>& whens, MakeFn&& make,
                      std::vector<EventId>* ids = nullptr) {
     if (whens.empty()) {
-      return;
-    }
-    if (WorkerState* ws = ParallelContext()) {
-      for (size_t i = 0; i < whens.size(); ++i) {
-        const EventId id = ParallelScheduleAtOn(ws, shard, whens[i], make(i));
-        if (ids != nullptr) {
-          ids->push_back(id);
-        }
-      }
       return;
     }
     std::vector<HeapEntry>& heap = shards_[ShardIndex(shard)].heap;
@@ -341,7 +260,7 @@ class Simulator {
       if (when < now_) {
         when = now_;
       }
-      const uint32_t slot_index = AllocSlot(arenas_[0], 0);
+      const uint32_t slot_index = AllocSlot();
       Slot& slot = SlotAt(slot_index);
       slot.state = SlotState::kLive;
       callback_heap_spills_ += slot.cb.Emplace(make(i)) ? 1 : 0;
@@ -367,12 +286,9 @@ class Simulator {
   // Cancels a pending event. Returns false if the event already fired, was
   // already cancelled, or never existed. O(1): decodes the id into a slot
   // probe; the heap entry is lazily discarded when it reaches its shard head.
-  // Under a parallel drain, callbacks may only cancel events resident on
-  // their own shard (the slot probe is unsynchronized).
   bool Cancel(EventId id);
 
-  // Runs until the event queue is empty or Stop() is called. With
-  // SetWorkerCount(W>1) and more than one shard, drains on W threads.
+  // Runs until the event queue is empty or Stop() is called.
   void Run();
 
   // Runs events with timestamp <= `deadline`, then sets now() to `deadline`
@@ -383,13 +299,11 @@ class Simulator {
   void RunFor(SimDuration span) { RunUntil(now_ + span); }
 
   // Executes the single next event, if any. Returns false when idle. Clears
-  // a prior Stop(), consistently with Run()/RunUntil(). Always serial.
+  // a prior Stop(), consistently with Run()/RunUntil().
   bool Step();
 
-  // Makes Run()/RunUntil() return after the current event completes (in
-  // parallel mode: each worker stops after its current event; the run ends
-  // at the next barrier).
-  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
+  // Makes Run()/RunUntil() return after the current event completes.
+  void Stop() { stopped_ = true; }
 
   // Total number of callbacks executed; useful for perf accounting and for
   // asserting determinism (equal seeds => equal event counts).
@@ -398,38 +312,15 @@ class Simulator {
   // Number of live (not-yet-fired, not-cancelled) events.
   size_t pending_events() const { return live_count_; }
 
-  // Slab occupancy introspection for tests: total slots ever allocated
-  // across all arenas. A steady-state workload reuses slots through the free
-  // lists, so this stays flat once the working set is warm.
-  size_t slab_slots() const {
-    size_t total = 0;
-    for (const Arena& arena : arenas_) {
-      total += arena.slot_count;
-    }
-    return total;
-  }
+  // Slab occupancy introspection for tests: total slots ever allocated. A
+  // steady-state workload reuses slots through the free list, so this stays
+  // flat once the working set is warm (asserted by the allocation test).
+  size_t slab_slots() const { return slot_count_; }
 
   // EventCallback captures that exceeded kInlineBytes and heap-allocated.
   // Surfaced as an accessor (not a registry metric) so default snapshots —
   // and with them every golden — stay byte-identical.
   uint64_t callback_heap_spills() const { return callback_heap_spills_; }
-
-  // Parallel-drain introspection: windows executed, mailbox deliveries, and
-  // windows whose horizon was clamped by the run deadline.
-  uint64_t parallel_windows() const { return parallel_windows_; }
-  uint64_t parallel_mail_delivered() const { return parallel_mail_delivered_; }
-  uint64_t parallel_horizon_clamps() const { return parallel_horizon_clamps_; }
-
-  // Worker index of the calling context: 0 outside a parallel drain.
-  uint32_t current_worker() const {
-    const WorkerState* ws = tls_ctx_;
-    return (ws != nullptr && ws->sim == this) ? ws->id : 0;
-  }
-
-  // Forces the tournament-tree merge on or off regardless of shard count (< 0
-  // restores the default threshold of kDefaultMergeTreeThreshold shards).
-  // Test-only: the merge result is identical either way.
-  void SetMergeTreeThresholdForTest(int threshold);
 
  private:
   enum class SlotState : uint8_t { kFree, kLive, kCancelled, kRunning };
@@ -458,14 +349,9 @@ class Simulator {
                 "heap sifts must never run user code (the pop path mutates no "
                 "const refs — the old const_cast<Event&> move is gone)");
 
-  // One independent event queue. Cache-line aligned so two workers draining
-  // adjacent shards never false-share the heap vector headers or the
-  // per-shard parallel sequence cursor.
-  struct alignas(64) Shard {
+  // One independent event queue.
+  struct Shard {
     std::vector<HeapEntry> heap;
-    // Next strided-sequence index for events originating from this shard
-    // during a parallel drain; written only by the shard's owner.
-    uint64_t par_seq_next = 0;
   };
 
   // Merge key of one shard's head, mirrored into the compact head_keys_
@@ -487,15 +373,6 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  static bool HeadLess(const HeadKey& a, const HeadKey& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.seq < b.seq;
-  }
-
-  static bool HeadEmpty(const HeadKey& k) { return k.when == kEmptyHead.when && k.seq == kEmptyHead.seq; }
-
   static EventId MakeId(uint32_t slot, uint32_t generation) {
     return (static_cast<EventId>(slot) << 32) | generation;
   }
@@ -503,131 +380,23 @@ class Simulator {
   static constexpr uint32_t kChunkShift = 10;
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;  // Slots per slab chunk.
   static constexpr uint32_t kNoFreeSlot = 0xFFFFFFFFu;
-  // Slot indices are (arena << kArenaLocalBits) | local: arena 0 is the
-  // serial slab (indices identical to the pre-arena layout), arena w+1 is
-  // worker w's private slab. 32M slots per arena.
-  static constexpr uint32_t kArenaLocalBits = 25;
-  static constexpr uint32_t kArenaLocalMask = (1u << kArenaLocalBits) - 1;
-  static constexpr int kDefaultMergeTreeThreshold = 8;
-
-  // One slab partition. Serial execution uses arena 0 only; each parallel
-  // worker allocates and frees exclusively in its own arena (foreign frees
-  // are deferred), so slot management never takes a lock. The chunk-pointer
-  // spine is a fixed-capacity array allocated on first use: it never moves,
-  // so a worker growing its own arena can never invalidate another worker's
-  // read of a previously-published slot in it (leftover events when the
-  // worker count changes between runs).
-  struct Arena {
-    static constexpr uint32_t kMaxChunks = 1u << (kArenaLocalBits - kChunkShift);
-    std::unique_ptr<std::unique_ptr<Slot[]>[]> chunks;
-    uint32_t chunk_count = 0;
-    uint32_t slot_count = 0;
-    uint32_t free_head = kNoFreeSlot;
-  };
-
-  // A cross-shard schedule buffered between epoch barriers: the callback
-  // rides by value (no slot exists until the destination owner admits it).
-  struct Mail {
-    SimTime when;
-    uint64_t seq;
-    internal::EventCallback cb;
-  };
-
-  // Per-worker drain context. Cache-line aligned: every hot field a worker
-  // touches per event lives here, and nothing in it is written by another
-  // thread during the execute phase.
-  struct alignas(64) WorkerState {
-    Simulator* sim = nullptr;
-    uint32_t id = 0;
-    std::vector<uint32_t> owned;  // Shard indices, ascending.
-    SimTime local_now = 0;
-    uint32_t current_shard = 0;
-    uint64_t executed = 0;
-    int64_t live_delta = 0;
-    uint64_t spills = 0;
-    uint64_t mailed = 0;
-    SimTime local_min = 0;
-    SimTime max_exec_time = 0;
-    std::vector<std::vector<Mail>> outbox;   // One mailbox per destination shard.
-    std::vector<uint32_t> foreign_frees;     // Folded into their arenas after join.
-  };
-
-  // Phase-counter spin barrier: the Nth arriver runs the serial section and
-  // bumps the phase; waiters spin briefly then yield (the test boxes and the
-  // tsan leg run more workers than cores).
-  struct SpinBarrier {
-    std::atomic<uint32_t> arrived{0};
-    std::atomic<uint32_t> phase{0};
-    uint32_t total = 0;
-  };
 
   Slot& SlotAt(uint32_t index) {
-    Arena& arena = arenas_[index >> kArenaLocalBits];
-    const uint32_t local = index & kArenaLocalMask;
-    return arena.chunks[local >> kChunkShift][local & (kChunkSize - 1)];
+    return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
   uint32_t ShardIndex(uint32_t shard) const {
     return shard % static_cast<uint32_t>(shards_.size());
   }
 
-  uint32_t CurrentShard() const {
-    const WorkerState* ws = tls_ctx_;
-    return (ws != nullptr && ws->sim == this) ? ws->current_shard : current_shard_;
-  }
-
-  WorkerState* ParallelContext() const {
-    WorkerState* ws = tls_ctx_;
-    return (ws != nullptr && ws->sim == this) ? ws : nullptr;
-  }
-
-  uint32_t AllocSlot(Arena& arena, uint32_t arena_index);
+  uint32_t AllocSlot();
   void FreeSlot(uint32_t index);
 
-  // Worker-context schedule: same-shard events push straight into the owned
-  // heap; cross-shard events are mailboxed until the next barrier. Sequence
-  // numbers stride by origin shard so the total order is independent of the
-  // worker count.
-  template <typename F>
-  EventId ParallelScheduleAtOn(WorkerState* ws, uint32_t shard, SimTime when, F&& f) {
-    shard = ShardIndex(shard);
-    if (when < ws->local_now) {
-      when = ws->local_now;
-    }
-    const uint32_t origin = ws->current_shard;
-    const uint64_t seq = par_seq_base_ + origin +
-                         static_cast<uint64_t>(shard_count()) * shards_[origin].par_seq_next++;
-    ++ws->live_delta;
-    if (shard == origin) {
-      const uint32_t arena_index = ws->id + 1;
-      const uint32_t slot_index = AllocSlot(arenas_[arena_index], arena_index);
-      Slot& slot = SlotAt(slot_index);
-      slot.state = SlotState::kLive;
-      ws->spills += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
-      HeapPush(shard, HeapEntry{when, seq, slot_index});
-      return MakeId(slot_index, slot.generation);
-    }
-    std::vector<Mail>& box = ws->outbox[shard];
-    box.emplace_back();
-    Mail& mail = box.back();
-    mail.when = when;
-    mail.seq = seq;
-    ws->spills += mail.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
-    ++ws->mailed;
-    return kInvalidEventId;
-  }
-
-  // Re-mirrors shard's heap head into head_keys_ (sentinel when empty) and
-  // replays the tournament tree when the tree merge is active. During a parallel
-  // drain the tree is left stale (workers own disjoint shards but would race
-  // on shared tree nodes); it is rebuilt at the join.
+  // Re-mirrors shard's heap head into head_keys_ (sentinel when empty).
   void SyncHead(uint32_t shard) {
     const std::vector<HeapEntry>& heap = shards_[shard].heap;
     head_keys_[shard] =
         heap.empty() ? kEmptyHead : HeadKey{heap.front().when, heap.front().seq};
-    if (tree_active_ && !par_active_) {
-      TreeReplay(shard);
-    }
   }
 
   void HeapPush(uint32_t shard, HeapEntry entry);
@@ -638,35 +407,17 @@ class Simulator {
   // Floyd bottom-up heapify of one shard heap (bulk admission).
   static void HeapRebuild(std::vector<HeapEntry>& heap);
 
-  // Tournament-tree maintenance (EarliestShard's O(log k) path).
-  void TreeBuild();
-  void TreeReplay(uint32_t leaf);
-  void RefreshTreeMode();
-
-  // The deterministic merge: finds the shard holding the globally earliest
-  // (when, seq) — a linear scan of the cached heads for small shard counts,
-  // a tournament-tree lookup above the threshold. A cancelled entry that wins is
-  // discarded (the single discard path) and the merge repeats. Returns -1
-  // when every shard is drained.
+  // The deterministic merge: scans the cached heads for the globally
+  // earliest (when, seq); a cancelled entry that wins the scan is discarded
+  // (the single discard path — cancelled entries buried in a heap, or at a
+  // losing head, cost nothing until they surface as the global minimum) and
+  // the scan repeats. Returns -1 when every shard is drained.
   int EarliestShard();
 
-  // The single serial pop path: merges shard heads, then runs the next live
-  // event if its timestamp is <= `deadline`. Returns false when idle or the
-  // next live event is beyond the deadline.
+  // The single pop path: merges shard heads, then runs the next live event if
+  // its timestamp is <= `deadline`. Returns false when idle or the next live
+  // event is beyond the deadline.
   bool PopAndRunBefore(SimTime deadline);
-
-  // --- Parallel drain internals (simulator.cc) -----------------------------
-  uint32_t EffectiveWorkers() const;
-  void RunParallelUntil(SimTime deadline);
-  void WorkerLoop(WorkerState& ws, SimTime deadline);
-  void DrainOwnShard(WorkerState& ws, uint32_t shard);
-  void FlushMail(WorkerState& ws);
-  SimTime ComputeLocalMin(const WorkerState& ws) const;
-  // Serial section of the epoch barrier: computes the next window (or stop)
-  // from the workers' local minima and runs the barrier hook.
-  void AdvanceWindow(SimTime deadline);
-  void BarrierWait(const std::function<void()>& serial_section);
-  void ParallelFree(WorkerState& ws, uint32_t slot_index);
 
   SimTime now_ = 0;
   // Shard of the event currently executing; Schedule/ScheduleAt inherit it.
@@ -674,39 +425,13 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   size_t live_count_ = 0;
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
   std::vector<Shard> shards_;
   HeadKey head_keys_[kMaxShards] = {};  // Synced in SetShardCount and on push/pop.
-  std::vector<Arena> arenas_;  // [0] serial slab; [w+1] worker w's slab.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint32_t slot_count_ = 0;
+  uint32_t free_head_ = kNoFreeSlot;
   uint64_t callback_heap_spills_ = 0;
-
-  // Tournament-tree merge state: leaves hold their shard index, internals the
-  // running winner is cached in tree_winner_. Padding leaves (>= shard
-  // count) always carry the sentinel head key, so they can never win against
-  // a non-empty shard.
-  int merge_tree_threshold_ = kDefaultMergeTreeThreshold;
-  bool tree_active_ = false;
-  uint32_t tree_cap_ = 0;  // Power-of-two leaf count.
-  uint32_t tree_winner_ = 0;
-  std::vector<uint32_t> tree_nodes_;
-
-  // Parallel drain state. The window fields are written only inside the
-  // barrier's serial section and read by workers after the phase publish
-  // (release/acquire on SpinBarrier::phase orders them).
-  uint32_t worker_count_ = 1;
-  SimDuration lookahead_ = 1;
-  std::function<void()> barrier_hook_;
-  bool par_active_ = false;
-  uint64_t par_seq_base_ = 0;
-  SimTime win_end_ = 0;
-  bool win_stop_ = false;
-  uint64_t parallel_windows_ = 0;
-  uint64_t parallel_mail_delivered_ = 0;
-  uint64_t parallel_horizon_clamps_ = 0;
-  std::vector<WorkerState> workers_;
-  SpinBarrier barrier_;
-
-  static thread_local WorkerState* tls_ctx_;
 };
 
 }  // namespace nadino

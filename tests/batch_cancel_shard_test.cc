@@ -1,4 +1,4 @@
-// ScheduleBatch + Cancel property test (DESIGN.md §3h satellite): batch
+// ScheduleBatch + Cancel property test (DESIGN.md §3g): batch
 // admission returns per-event ids whose cancellation behaves exactly like
 // the same schedule issued as repeated ScheduleAtOn calls, across shard
 // counts, with fresh batches interleaved after cancels.

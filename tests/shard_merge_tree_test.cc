@@ -1,8 +1,8 @@
-// The tournament-tree merge (src/sim/simulator.cc) must be invisible: for
-// any shard count, forcing the tree on or the linear scan on yields the
-// exact same executed sequence. Randomized schedules with cancels and
-// callback-driven reschedules probe the tree's arbitrary-leaf updates (the
-// case a loser-tree replay gets wrong).
+// The shard merge (src/sim/simulator.cc) must be invisible: for any shard
+// count, a randomized schedule executes the exact same sequence as on the
+// single heap. Cancels, cross-shard respawns and inherited-shard respawns
+// from event context probe the cached head keys under arbitrary-shard
+// pushes and lazy discards; k = 64 covers the largest linear scan.
 
 #include <gtest/gtest.h>
 
@@ -24,32 +24,35 @@ struct Executed {
 };
 
 // Drives one randomized run: `events` roots scattered over shards and time,
-// a third of them cancelled, half of the survivors rescheduling a child on
-// another (random) shard. threshold < 0 keeps the default (tree for > 8).
-std::vector<Executed> RunMerge(uint32_t shards, int threshold, uint64_t seed, int events) {
+// a sixth of them cancelled, half of the survivors spawning a child either
+// on another shard or on their own (inherited) shard. Shard picks are drawn
+// from [0, kMaxShards) and reduced modulo the shard count by the simulator,
+// so the random stream — and hence the schedule — is the same for every k.
+std::vector<Executed> RunMerge(uint32_t shards, uint64_t seed, int events) {
   Simulator sim;
   sim.SetShardCount(shards);
-  sim.SetMergeTreeThresholdForTest(threshold);
   std::mt19937_64 rng(seed);
   std::vector<Executed> trace;
   std::vector<EventId> cancellable;
 
   std::uniform_int_distribution<SimTime> when_dist(1, 5000);
-  std::uniform_int_distribution<uint32_t> shard_dist(0, shards - 1);
+  std::uniform_int_distribution<uint32_t> shard_dist(0, Simulator::kMaxShards - 1);
   for (int i = 0; i < events; ++i) {
     const SimTime when = when_dist(rng);
     const uint32_t shard = shard_dist(rng);
     const uint64_t tag = static_cast<uint64_t>(i);
-    const bool respawn = (rng() & 1) != 0;
+    const uint64_t spawn = rng() % 4;  // 0/1: none, 2: cross-shard, 3: inherited.
     const uint32_t child_shard = shard_dist(rng);
     const SimTime child_delay = when_dist(rng);
     const EventId id = sim.ScheduleAtOn(
-        shard, when, [&sim, &trace, tag, respawn, child_shard, child_delay] {
+        shard, when, [&sim, &trace, tag, spawn, child_shard, child_delay] {
           trace.push_back({sim.now(), tag});
-          if (respawn) {
-            const uint64_t child_tag = tag | (1ull << 32);
-            sim.ScheduleAtOn(child_shard, sim.now() + child_delay,
-                             [&sim, &trace, child_tag] { trace.push_back({sim.now(), child_tag}); });
+          const uint64_t child_tag = tag | (1ull << 32);
+          auto child = [&sim, &trace, child_tag] { trace.push_back({sim.now(), child_tag}); };
+          if (spawn == 2) {
+            sim.ScheduleAtOn(child_shard, sim.now() + child_delay, child);
+          } else if (spawn == 3) {
+            sim.Schedule(child_delay, child);
           }
         });
     if (i % 3 == 0) {
@@ -60,39 +63,36 @@ std::vector<Executed> RunMerge(uint32_t shards, int threshold, uint64_t seed, in
     EXPECT_TRUE(sim.Cancel(cancellable[i]));
   }
   sim.Run();
+  EXPECT_EQ(sim.pending_events(), 0u);
   return trace;
 }
 
-TEST(ShardMergeTreeTest, TreeAndLinearScanExecuteIdentically) {
-  constexpr int kForceLinear = 1000;
-  constexpr int kForceTree = 0;
-  for (uint32_t shards : {2u, 5u, 9u, 16u, 33u, 64u}) {
-    for (uint64_t seed : {1ull, 42ull, 0xFEEDull}) {
-      const std::vector<Executed> linear = RunMerge(shards, kForceLinear, seed, 400);
-      const std::vector<Executed> tree = RunMerge(shards, kForceTree, seed, 400);
-      const std::vector<Executed> deflt = RunMerge(shards, -1, seed, 400);
-      ASSERT_FALSE(linear.empty());
-      EXPECT_EQ(tree, linear) << "shards=" << shards << " seed=" << seed;
-      EXPECT_EQ(deflt, linear) << "shards=" << shards << " seed=" << seed;
+TEST(ShardMergeTest, AnyShardCountExecutesTheSingleHeapSequence) {
+  for (uint64_t seed : {1ull, 42ull, 0xFEEDull}) {
+    const std::vector<Executed> single = RunMerge(1, seed, 400);
+    ASSERT_FALSE(single.empty());
+    for (uint32_t shards : {2u, 9u, 16u, 64u}) {
+      EXPECT_EQ(RunMerge(shards, seed, 400), single) << "shards=" << shards << " seed=" << seed;
     }
   }
 }
 
-TEST(ShardMergeTreeTest, ThresholdGatesTheTreeBySize) {
-  // Not directly observable from outside, so probe the contract's edges: a
-  // forced-on tree works at shard count 1, and toggling the threshold
-  // mid-stream (with events pending) rebuilds cleanly.
+TEST(ShardMergeTest, ReshardingWithPendingEventsKeepsTheOrder) {
+  // SetShardCount consolidates pending events onto shard 0 of the new
+  // layout; growing and shrinking mid-stream must not reorder anything.
   Simulator sim;
   sim.SetShardCount(12);
-  int runs = 0;
+  std::vector<uint32_t> order;
   for (uint32_t s = 0; s < 12; ++s) {
-    sim.ScheduleAtOn(s, 100 + s, [&runs] { ++runs; });
+    sim.ScheduleAtOn(s, 200 - s, [&order, s] { order.push_back(s); });
   }
-  sim.SetMergeTreeThresholdForTest(0);     // Tree on, 12 pending events.
-  sim.SetMergeTreeThresholdForTest(1000);  // Back to linear.
-  sim.SetMergeTreeThresholdForTest(-1);    // Default: 12 > 8 ⇒ tree.
+  sim.SetShardCount(64);
+  sim.SetShardCount(3);
   sim.Run();
-  EXPECT_EQ(runs, 12);
+  ASSERT_EQ(order.size(), 12u);
+  for (uint32_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(order[i], 11 - i);
+  }
 }
 
 }  // namespace

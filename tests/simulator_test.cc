@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 namespace nadino {
@@ -172,6 +173,43 @@ TEST(SimulatorTest, DeterministicEventCount) {
   const auto a = run();
   const auto b = run();
   EXPECT_EQ(a, b);
+}
+
+TEST(SimulatorTest, SmallCapturesNeverSpillToTheHeap) {
+  Simulator sim;
+  sim.SetShardCount(4);
+  int fired = 0;
+  for (uint32_t s = 0; s < 4; ++s) {
+    sim.ScheduleAtOn(s, 100, [&sim, &fired, s] {
+      ++fired;
+      // Same-shard (inherited) and cross-shard schedules from event context.
+      sim.Schedule(10, [&fired] { ++fired; });
+      sim.ScheduleAtOn((s + 1) % 4, sim.now() + 20, [&fired] { ++fired; });
+    });
+  }
+  sim.ScheduleBatch(2, {300, 301, 302}, [&fired](size_t) { return [&fired] { ++fired; }; });
+  sim.Run();
+  EXPECT_EQ(fired, 4 * 3 + 3);
+  EXPECT_EQ(sim.callback_heap_spills(), 0u);
+}
+
+TEST(SimulatorTest, EachOversizedCaptureSpillsExactlyOnce) {
+  Simulator sim;
+  sim.SetShardCount(2);
+  std::array<unsigned char, 128> big{};
+  sim.ScheduleAtOn(0, 10, [big] { (void)big; });
+  EXPECT_EQ(sim.callback_heap_spills(), 1u);
+  sim.ScheduleAtOn(0, 20, [&sim, big] {
+    (void)big;
+    // A cross-shard schedule from event context spills once more.
+    sim.ScheduleAtOn(1, sim.now() + 5, [big] { (void)big; });
+  });
+  EXPECT_EQ(sim.callback_heap_spills(), 2u);
+  sim.ScheduleBatch(1, {30, 31}, [big](size_t) { return [big] { (void)big; }; });
+  EXPECT_EQ(sim.callback_heap_spills(), 4u);
+  sim.Run();
+  EXPECT_EQ(sim.callback_heap_spills(), 5u);
+  EXPECT_EQ(sim.events_processed(), 5u);
 }
 
 }  // namespace
