@@ -6,21 +6,17 @@
 //
 // Unlike the fig* benches this output is wall-clock and therefore NOT
 // deterministic: BENCH_simperf.json must never join the golden diff set.
-// Instead scripts/check.sh --perf runs this binary with --check against the
-// committed bench/perf_baseline.json; a run slower than baseline/threshold
-// fails, so CI catches order-of-magnitude regressions without flaking on
-// machine-to-machine variance.
+// Instead scripts/check.sh --perf runs this binary five times and
+// scripts/perf_gate.py gates the median against the committed
+// bench/perf_baseline.json; a median slower than baseline/2 fails, so CI
+// catches order-of-magnitude regressions without flaking on machine-to-
+// machine variance.
 //
 // Usage:
-//   simperf                                   # measure and print
-//   simperf --check bench/perf_baseline.json  # ...and gate vs the baseline
-//   simperf --check FILE --threshold 2.0      # custom slack (default 2.0)
+//   simperf    # measure, print, and write BENCH_simperf.json
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -126,31 +122,12 @@ double BestOf(int runs, double (*fn)()) {
   return best;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadBaselineValue(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::atof(text.c_str() + pos + needle.size());
-  return *out > 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* baseline_path = nullptr;
-  double threshold = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: %s [--check baseline.json] [--threshold X]\n", argv[0]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
 
   bench::Title("simperf — discrete-event core wall-clock throughput",
@@ -186,52 +163,5 @@ int main(int argc, char** argv) {
                 idle, 1e9 / idle, cancel, e2e.events_per_sec, e2e.wall_ms,
                 static_cast<unsigned long long>(e2e.sim_events));
   bench::WriteMetricsJson("simperf", json);
-  // One machine-readable record for check.sh --perf's consolidated
-  // BENCH_perf_trajectory.json (never golden-diffed: wall-clock numbers).
-  std::printf("TRAJECTORY_JSON {\"bench\": \"simperf\", \"idle_events_per_sec\": %.0f, "
-              "\"cancel_ops_per_sec\": %.0f, \"fig13_events_per_sec\": %.0f}\n",
-              idle, cancel, e2e.events_per_sec);
-
-  if (baseline_path == nullptr) {
-    return 0;
-  }
-  std::FILE* f = std::fopen(baseline_path, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "simperf: cannot open baseline %s\n", baseline_path);
-    return 2;
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-
-  int status = 0;
-  const struct {
-    const char* key;
-    double measured;
-  } gates[] = {
-      {"idle_events_per_sec", idle},
-      {"fig13_events_per_sec", e2e.events_per_sec},
-  };
-  for (const auto& gate : gates) {
-    double base = 0.0;
-    if (!ReadBaselineValue(text, gate.key, &base)) {
-      std::fprintf(stderr, "simperf: baseline missing %s\n", gate.key);
-      status = 2;
-      continue;
-    }
-    const double floor = base / threshold;
-    if (gate.measured < floor) {
-      std::fprintf(stderr,
-                   "simperf: REGRESSION %s = %.0f < floor %.0f (baseline %.0f / %.1fx)\n",
-                   gate.key, gate.measured, floor, base, threshold);
-      status = 1;
-    } else {
-      std::printf("perf gate: %s ok (%.0f >= %.0f)\n", gate.key, gate.measured, floor);
-    }
-  }
-  return status;
+  return 0;
 }

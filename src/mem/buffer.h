@@ -30,7 +30,8 @@ struct Buffer {
   std::span<std::byte> payload() { return data.subspan(0, length); }
   std::span<const std::byte> payload() const { return data.subspan(0, length); }
 
-  // Fills the payload with a deterministic pattern derived from `seed`.
+  // Sets `length` and fills the payload with FillDeterministic's pattern
+  // for `seed`.
   void FillPattern(uint64_t seed, uint32_t payload_length);
 };
 
@@ -50,7 +51,21 @@ struct BufferDescriptor {
   static BufferDescriptor Decode(std::span<const std::byte, kWireSize> wire);
 };
 
-// FNV-1a checksum used by integrity assertions along the data plane.
+// Writes a deterministic pseudo-random pattern over `out`: one 64-bit LCG
+// state per 8 bytes (the low bytes of one more state for a 1-7 byte tail).
+// The model never interprets payload contents, only copies and hashes them,
+// so the pattern only has to differ between seeds, not look random byte by
+// byte.
+void FillDeterministic(std::span<std::byte> out, uint64_t seed);
+
+// 64-bit digest used by integrity assertions along the data plane. It reads
+// 8-byte little-endian words (the 1-7 byte tail zero-extended into one more
+// word) into four interleaved lanes, folds the lanes and then the length
+// through the same step, and finishes with a SplitMix64 avalanche. Every
+// step is a bijection of the running state for a fixed input word and
+// injective in the word, so any change confined to one word or one tail byte
+// always changes the digest. Folding in the length keeps a tail apart from
+// the same tail with zero bytes appended, which zero-extension alone merges.
 uint64_t Checksum(std::span<const std::byte> bytes);
 
 }  // namespace nadino

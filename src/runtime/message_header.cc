@@ -1,35 +1,44 @@
 #include "src/runtime/message_header.h"
 
-#include <array>
 #include <cstring>
 
 namespace nadino {
 
 namespace {
 
+// Offset of the checksum field inside the serialized header, and its index
+// among the header's five 8-byte words.
+constexpr size_t kChecksumOffset = 24;
+constexpr size_t kChecksumWord = kChecksumOffset / sizeof(uint64_t);
+
 void FillPayload(Buffer* buffer, uint64_t seed, uint32_t length) {
-  uint64_t x = seed ^ 0xD1B54A32D192ED03ULL;
-  std::byte* p = buffer->data.data() + MessageHeader::kWireSize;
-  for (uint32_t i = 0; i < length; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    p[i] = static_cast<std::byte>(x >> 56);
-  }
+  FillDeterministic(buffer->data.subspan(MessageHeader::kWireSize, length),
+                    seed ^ 0xD1B54A32D192ED03ULL);
 }
 
-// Offset/width of the checksum field inside the serialized header.
-constexpr size_t kChecksumOffset = 24;
-constexpr size_t kChecksumWidth = 8;
+// The message digest is HeaderDigest(wire) ^ PayloadDigest(payload), so
+// RewriteHeader can swap the header term alone. Covering the header bytes —
+// including routing and correlation fields and the padding — means a single
+// flipped bit anywhere in the message is caught, not just flips that land in
+// the payload. HeaderDigest hashes the serialized header at `wire` with its
+// checksum word zeroed.
+uint64_t HeaderDigest(const std::byte* wire) {
+  uint64_t words[MessageHeader::kWireSize / sizeof(uint64_t)];
+  std::memcpy(words, wire, sizeof(words));
+  words[kChecksumWord] = 0;
+  return Checksum(std::as_bytes(std::span(words)));
+}
 
-// Digest over the serialized header (checksum field zeroed) and the payload.
-// Covering the header bytes — including routing and correlation fields and
-// the padding — means a single flipped bit anywhere in the message is caught,
-// not just flips that land in the payload.
+uint64_t PayloadDigest(const Buffer& buffer, uint32_t payload_length) {
+  return Checksum(buffer.data.subspan(MessageHeader::kWireSize, payload_length));
+}
+
 uint64_t MessageChecksum(const Buffer& buffer, uint32_t payload_length) {
-  std::array<std::byte, MessageHeader::kWireSize> head;
-  std::memcpy(head.data(), buffer.data.data(), MessageHeader::kWireSize);
-  std::memset(head.data() + kChecksumOffset, 0, kChecksumWidth);
-  return Checksum({head.data(), head.size()}) ^
-         Checksum({buffer.data.data() + MessageHeader::kWireSize, payload_length});
+  return HeaderDigest(buffer.data.data()) ^ PayloadDigest(buffer, payload_length);
+}
+
+void StoreChecksum(Buffer* buffer, uint64_t checksum) {
+  std::memcpy(buffer->data.data() + kChecksumOffset, &checksum, sizeof(checksum));
 }
 
 void Serialize(const MessageHeader& h, std::byte* out) {
@@ -63,10 +72,8 @@ bool WriteMessage(Buffer* buffer, MessageHeader header) {
     return false;
   }
   FillPayload(buffer, header.request_id, header.payload_length);
-  header.payload_checksum = 0;
   Serialize(header, buffer->data.data());
-  header.payload_checksum = MessageChecksum(*buffer, header.payload_length);
-  std::memcpy(buffer->data.data() + kChecksumOffset, &header.payload_checksum, kChecksumWidth);
+  StoreChecksum(buffer, MessageChecksum(*buffer, header.payload_length));
   buffer->length = MessageHeader::kWireSize + header.payload_length;
   return true;
 }
@@ -76,10 +83,16 @@ bool RewriteHeader(Buffer* buffer, MessageHeader header) {
       buffer->data.size() < MessageHeader::kWireSize + header.payload_length) {
     return false;
   }
-  header.payload_checksum = 0;
-  Serialize(header, buffer->data.data());
-  header.payload_checksum = MessageChecksum(*buffer, header.payload_length);
-  std::memcpy(buffer->data.data() + kChecksumOffset, &header.payload_checksum, kChecksumWidth);
+  std::byte* wire = buffer->data.data();
+  const MessageHeader old = Deserialize(wire);
+  // Same payload length: the stored digest minus the old header's term is
+  // the payload term, so the payload is not re-read — and a payload that
+  // was corrupted since the last write stays detectably corrupt.
+  const uint64_t payload_term = old.payload_length == header.payload_length
+                                    ? old.payload_checksum ^ HeaderDigest(wire)
+                                    : PayloadDigest(*buffer, header.payload_length);
+  Serialize(header, wire);
+  StoreChecksum(buffer, HeaderDigest(wire) ^ payload_term);
   buffer->length = MessageHeader::kWireSize + header.payload_length;
   return true;
 }

@@ -37,9 +37,14 @@ struct MessageHeader {
 // computing the checksum. Returns false when the buffer is too small.
 bool WriteMessage(Buffer* buffer, MessageHeader header);
 
-// Writes `header` but preserves whatever payload bytes already follow it
+// Writes `header` but preserves the payload bytes that already follow it
 // (used when a function forwards a buffer zero-copy and only re-addresses
-// it). Recomputes the checksum over the preserved payload.
+// it). `buffer` must hold a message from WriteMessage or RewriteHeader.
+// When the payload length is unchanged the new checksum is derived from the
+// stored one (stored ^ old header term ^ new header term) without reading
+// the payload, so a payload or header corrupted since it was written stays
+// corrupt under the new header and ReadMessage still rejects it. A changed
+// payload length re-hashes the payload.
 bool RewriteHeader(Buffer* buffer, MessageHeader header);
 
 // Parses the header and verifies the payload checksum. nullopt on truncation

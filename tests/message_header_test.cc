@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mem/buffer_pool.h"
 #include "src/mem/hugepage_arena.h"
 
@@ -104,6 +106,89 @@ TEST_F(MessageHeaderTest, DistinctRequestsHaveDistinctPayloads) {
   ASSERT_TRUE(WriteMessage(a, ha));
   ASSERT_TRUE(WriteMessage(b, hb));
   EXPECT_NE(ReadMessage(*a)->payload_checksum, ReadMessage(*b)->payload_checksum);
+}
+
+TEST_F(MessageHeaderTest, RewriteKeepsAnEarlierPayloadCorruptionDetectable) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader header;
+  header.payload_length = 512;
+  header.request_id = 42;
+  ASSERT_TRUE(WriteMessage(b, header));
+  b->data[MessageHeader::kWireSize + 300] ^= std::byte{0x01};
+  MessageHeader reply = header;
+  reply.src = 5;
+  reply.dst = 6;
+  reply.flags = MessageHeader::kFlagResponse;
+  ASSERT_TRUE(RewriteHeader(b, reply));
+  // The rewrite must not re-bless the corrupted bytes with a fresh digest.
+  EXPECT_FALSE(ReadMessage(*b).has_value());
+}
+
+TEST_F(MessageHeaderTest, RewriteKeepsAnEarlierHeaderCorruptionDetectable) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader header;
+  header.payload_length = 64;
+  header.request_id = 9;
+  ASSERT_TRUE(WriteMessage(b, header));
+  b->data[17] ^= std::byte{0x80};  // Inside request_id.
+  ASSERT_TRUE(RewriteHeader(b, header));
+  EXPECT_FALSE(ReadMessage(*b).has_value());
+}
+
+TEST_F(MessageHeaderTest, RewriteWithANewPayloadLengthRehashesThePayload) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader header;
+  header.payload_length = 256;
+  header.request_id = 3;
+  ASSERT_TRUE(WriteMessage(b, header));
+  MessageHeader shorter = header;
+  shorter.payload_length = 100;
+  ASSERT_TRUE(RewriteHeader(b, shorter));
+  const auto parsed = ReadMessage(*b);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->payload_length, 100u);
+  EXPECT_EQ(b->length, MessageHeader::kWireSize + 100);
+}
+
+// Every single-bit flip and every single-byte XOR (the FaultPlane's corrupt
+// model) anywhere in the wire image — header, checksum field, padding,
+// payload words and payload tail — must fail ReadMessage.
+class MessageCorruptionPropertyTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  HugepageArena arena_;
+  BufferPool pool_{1, 1, 1, 8192, &arena_};
+};
+
+TEST_P(MessageCorruptionPropertyTest, EverySingleByteCorruptionIsDetected) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader header;
+  header.chain = 7;
+  header.src = 3;
+  header.dst = 4;
+  header.payload_length = GetParam();
+  header.request_id = 0x1234 + GetParam();
+  header.flags = MessageHeader::kFlagResponse;
+  ASSERT_TRUE(WriteMessage(b, header));
+  ASSERT_TRUE(ReadMessage(*b).has_value());
+  for (uint32_t i = 0; i < b->length; ++i) {
+    for (unsigned mask = 1; mask <= 255; ++mask) {
+      b->data[i] ^= std::byte(mask);
+      EXPECT_FALSE(ReadMessage(*b).has_value()) << "byte " << i << " ^ " << mask;
+      b->data[i] ^= std::byte(mask);
+    }
+  }
+  EXPECT_TRUE(ReadMessage(*b).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(PayloadLengths, MessageCorruptionPropertyTest,
+                         ::testing::Values(0u, 1u, 7u, 8u, 9u, 63u, 64u, 4099u));
+
+TEST(ChecksumTest, TrailingZeroBytesChangeTheDigest) {
+  // Covers the handoff from the four-lane loop to the word loop to the tail.
+  const std::vector<std::byte> zeros(25, std::byte{0});
+  for (size_t n = 0; n < 25; ++n) {
+    EXPECT_NE(Checksum({zeros.data(), n}), Checksum({zeros.data(), n + 1})) << n;
+  }
 }
 
 }  // namespace
