@@ -68,48 +68,24 @@ Row RunPipeline(uint32_t frame_bytes, const char* system) {
       cluster.worker(0)->tenants().PoolOfTenant(spec.tenant));
   dp->RegisterFunction(client.get());
 
-  TenantEchoLoad::Options unused;
-  (void)unused;
+  // Closed loop with a window of 8 chain requests in flight.
+  const size_t window = 8;
   LatencyHistogram latencies;
   uint64_t completed = 0;
-  int outstanding = 0;
-  const int window = 8;
-  std::map<uint64_t, SimTime> issued;
-  std::function<void()> fill = [&]() {
-    while (outstanding < window) {
-      Buffer* request = client->pool()->Get(client->owner_id());
-      if (request == nullptr) {
-        return;
-      }
-      MessageHeader header;
-      header.chain = spec.chain.id;
-      header.src = client->id();
-      header.dst = spec.chain.entry;
-      header.payload_length = spec.chain.entry_request_payload;
-      header.request_id = executor.NextRequestId();
-      WriteMessage(request, header);
-      issued[header.request_id] = sim.now();
-      if (!dp->Send(client.get(), request)) {
-        client->pool()->Put(request, client->owner_id());
-        return;
-      }
-      ++outstanding;
+  std::function<void()> fill;
+  RequestClient requester(
+      cluster.env(), dp, client.get(),
+      RequestClient::Route{spec.chain.id, spec.chain.entry, spec.chain.entry_request_payload},
+      [&](SimTime issued_at) {
+        latencies.Record(sim.now() - issued_at);
+        ++completed;
+        fill();
+      },
+      [&executor]() { return executor.NextRequestId(); });
+  fill = [&]() {
+    while (requester.pending() < window && requester.Issue()) {
     }
   };
-  client->SetHandler([&](FunctionRuntime& fn, Buffer* buffer) {
-    const auto header = ReadMessage(*buffer);
-    if (header.has_value()) {
-      const auto it = issued.find(header->request_id);
-      if (it != issued.end()) {
-        latencies.Record(sim.now() - it->second);
-        issued.erase(it);
-      }
-    }
-    fn.pool()->Put(buffer, fn.owner_id());
-    --outstanding;
-    ++completed;
-    fill();
-  });
   fill();
   sim.RunFor(100 * kMillisecond);
   latencies.Reset();

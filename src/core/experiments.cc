@@ -10,6 +10,7 @@
 #include "src/runtime/coldstart.h"
 #include "src/runtime/message_header.h"
 #include "src/runtime/openloop.h"
+#include "src/runtime/request_client.h"
 #include "src/sim/random.h"
 
 namespace nadino {
@@ -1163,56 +1164,34 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
     }
   }
 
-  // One open-loop client per tenant, colocated with its entry's primary.
+  // One scheduled client per tenant, colocated with its entry's primary.
   LatencyHistogram latencies;
-  std::map<uint64_t, SimTime> issue_times;
+  std::vector<std::unique_ptr<RequestClient>> requesters;
   for (const ChainSpec& spec : chains) {
     Node* home = node_by_id[cluster.routing().NodeOf(spec.entry)];
     clients.push_back(std::make_unique<FunctionRuntime>(
         900 + static_cast<FunctionId>(spec.tenant), spec.tenant, "client", home,
         home->AllocateCore(), home->tenants().PoolOfTenant(spec.tenant)));
-    FunctionRuntime* client = clients.back().get();
-    dataplane.RegisterFunction(client);
-    client->SetHandler([&, client](FunctionRuntime& fn, Buffer* buffer) {
-      const auto header = ReadMessage(*buffer);
-      if (header.has_value() && header->is_response()) {
-        const auto it = issue_times.find(header->request_id);
-        if (it != issue_times.end()) {
-          latencies.Record(cluster.env().now() - it->second);
-          issue_times.erase(it);
-        }
-        ++result.completed;
-      }
-      fn.pool()->Put(buffer, fn.owner_id());
-      (void)client;
-    });
+    dataplane.RegisterFunction(clients.back().get());
+    requesters.push_back(std::make_unique<RequestClient>(
+        cluster.env(), &dataplane, clients.back().get(),
+        RequestClient::Route{spec.id, spec.entry, options.payload},
+        [&](SimTime issued_at) {
+          latencies.Record(cluster.env().now() - issued_at);
+          ++result.completed;
+        },
+        [&executor]() { return executor.NextRequestId(); }));
   }
-  for (size_t c = 0; c < clients.size(); ++c) {
-    FunctionRuntime* client = clients[c].get();
-    const ChainSpec& spec = chains[c];
+  for (size_t c = 0; c < requesters.size(); ++c) {
+    RequestClient* requester = requesters[c].get();
     for (int i = 0; i < options.requests_per_tenant; ++i) {
       // Tenants stagger by a fraction of the spacing so sends interleave
       // deterministically instead of colliding on the same tick.
       const SimTime at = static_cast<SimTime>(i) * options.spacing +
                          static_cast<SimTime>(c) * (options.spacing / 7 + 1);
-      sim.ScheduleAt(at, [&, client]() {
-        Buffer* request = client->pool()->Get(client->owner_id());
-        if (request == nullptr) {
+      sim.ScheduleAt(at, [&result, requester]() {
+        if (!requester->Issue()) {
           ++result.errors;
-          return;
-        }
-        MessageHeader header;
-        header.chain = spec.id;
-        header.src = client->id();
-        header.dst = spec.entry;
-        header.payload_length = options.payload;
-        header.request_id = executor.NextRequestId();
-        WriteMessage(request, header);
-        issue_times[header.request_id] = cluster.env().now();
-        if (!dataplane.Send(client, request)) {
-          issue_times.erase(header.request_id);
-          ++result.errors;
-          client->pool()->Put(request, client->owner_id());
         }
       });
     }
@@ -1321,7 +1300,7 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
   }
 
   LatencyHistogram latencies;
-  std::map<uint64_t, SimTime> issue_times;
+  std::vector<std::unique_ptr<RequestClient>> requesters;
   for (const ChainSpec& spec : chains) {
     Node* home = nullptr;
     for (int i = 0; i < options.nodes; ++i) {
@@ -1333,47 +1312,26 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
     clients.push_back(std::make_unique<FunctionRuntime>(
         900 + static_cast<FunctionId>(spec.tenant), spec.tenant, "client", home,
         home->AllocateCore(), home->tenants().PoolOfTenant(spec.tenant)));
-    FunctionRuntime* client = clients.back().get();
-    dataplane.RegisterFunction(client);
+    dataplane.RegisterFunction(clients.back().get());
     const TenantId tenant = spec.tenant;
-    client->SetHandler([&, tenant](FunctionRuntime& fn, Buffer* buffer) {
-      const auto header = ReadMessage(*buffer);
-      if (header.has_value() && header->is_response()) {
-        const auto it = issue_times.find(header->request_id);
-        if (it != issue_times.end()) {
-          latencies.Record(cluster.env().now() - it->second);
-          issue_times.erase(it);
-        }
-        ++result.completed;
-        ++result.tenant_completed[tenant];
-      }
-      fn.pool()->Put(buffer, fn.owner_id());
-    });
+    requesters.push_back(std::make_unique<RequestClient>(
+        cluster.env(), &dataplane, clients.back().get(),
+        RequestClient::Route{spec.id, spec.entry, options.payload},
+        [&, tenant](SimTime issued_at) {
+          latencies.Record(cluster.env().now() - issued_at);
+          ++result.completed;
+          ++result.tenant_completed[tenant];
+        },
+        [&executor]() { return executor.NextRequestId(); }));
   }
-  for (size_t c = 0; c < clients.size(); ++c) {
-    FunctionRuntime* client = clients[c].get();
-    const ChainSpec& spec = chains[c];
+  for (size_t c = 0; c < requesters.size(); ++c) {
+    RequestClient* requester = requesters[c].get();
     for (int i = 0; i < options.requests_per_tenant; ++i) {
       const SimTime at = static_cast<SimTime>(i) * options.spacing +
                          static_cast<SimTime>(c) * (options.spacing / 7 + 1);
-      sim.ScheduleAt(at, [&, client]() {
-        Buffer* request = client->pool()->Get(client->owner_id());
-        if (request == nullptr) {
+      sim.ScheduleAt(at, [&result, requester]() {
+        if (!requester->Issue()) {
           ++result.errors;
-          return;
-        }
-        MessageHeader header;
-        header.chain = spec.id;
-        header.src = client->id();
-        header.dst = spec.entry;
-        header.payload_length = options.payload;
-        header.request_id = executor.NextRequestId();
-        WriteMessage(request, header);
-        issue_times[header.request_id] = cluster.env().now();
-        if (!dataplane.Send(client, request)) {
-          issue_times.erase(header.request_id);
-          ++result.errors;
-          client->pool()->Put(request, client->owner_id());
         }
       });
     }
@@ -1383,6 +1341,9 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
 
   result.errors += executor.errors();
   result.software_requests = executor.requests_handled();
+  for (const auto& requester : requesters) {
+    result.unmatched_responses += requester->unmatched_responses();
+  }
   for (int i = 0; i < options.nodes; ++i) {
     const NodeId node = cluster.worker(i)->id();
     if (WrProgramEngine* programs = dataplane.wr_programs(node)) {
@@ -1466,7 +1427,7 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   OpenLoopSource source(cluster.env(), source_options);
 
   std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  std::vector<std::unique_ptr<OpenLoopEchoDriver>> drivers;
+  std::vector<std::unique_ptr<RequestClient>> requesters;
   for (int t = 0; t < options.tenants; ++t) {
     const TenantId tenant = kTenantBase + static_cast<TenantId>(t);
     const int client_node = t % options.nodes;
@@ -1503,17 +1464,19 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
     // event-queue shard.
     tenant_options.shard = static_cast<uint32_t>(client_node);
     tenant_options.max_in_flight = options.max_in_flight_per_tenant;
-    const uint32_t index = source.AddTenant(tenant_options);
-    (void)index;  // == t by construction.
+    const uint32_t index = source.AddTenant(tenant_options);  // == t by construction.
 
-    drivers.push_back(std::make_unique<OpenLoopEchoDriver>(
-        cluster.env(), &source, &dataplane, client.get(), server.get(),
-        static_cast<uint32_t>(t), options.payload));
+    requesters.push_back(std::make_unique<RequestClient>(
+        cluster.env(), &dataplane, client.get(),
+        RequestClient::Route{/*chain=*/0, server_fn, options.payload},
+        [&source, index](SimTime issued_at) { source.OnComplete(index, issued_at); }));
+    ServeEcho(&dataplane, server.get());
     functions.push_back(std::move(client));
     functions.push_back(std::move(server));
   }
-  source.SetDispatch([&drivers](uint32_t tenant, SimTime issued_at) {
-    return drivers[tenant]->Issue(issued_at);
+  // A refused issue is shed: the source counts it, nothing stays pending.
+  source.SetDispatch([&requesters](uint32_t tenant, SimTime /*issued_at*/) {
+    return requesters[tenant]->Issue();
   });
 
   PeriodicSampler sampler(cluster.env(), options.sample_period);
@@ -1536,9 +1499,9 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
       horizon_seconds > 0 ? static_cast<double>(result.completed) / horizon_seconds : 0.0;
   result.mean_latency_us = source.latencies().MeanUs();
   result.p99_latency_us = ToUs(source.latencies().Percentile(0.99));
-  for (const auto& driver : drivers) {
-    result.unmatched_responses += driver->unmatched_responses();
-    result.pending_at_end += driver->pending_requests();
+  for (const auto& requester : requesters) {
+    result.unmatched_responses += requester->unmatched_responses();
+    result.pending_at_end += requester->pending();
   }
   result.slab_slots = sim.slab_slots();
   result.sim_events = sim.events_processed();

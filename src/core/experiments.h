@@ -403,7 +403,9 @@ struct ChainOffloadOptions {
   uint64_t seed = kDefaultSeed;
 };
 struct ChainOffloadResult {
-  uint64_t completed = 0;  // Responses observed by the clients.
+  uint64_t completed = 0;  // Requests whose response matched at the client.
+  // Responses that matched no pending request (duplicates under faults).
+  uint64_t unmatched_responses = 0;
   uint64_t errors = 0;
   // Per-tenant completions — what the offload/software equivalence property
   // test compares under equal seeds.

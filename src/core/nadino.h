@@ -46,6 +46,7 @@
 #include "src/runtime/function.h"
 #include "src/runtime/message_header.h"
 #include "src/runtime/node.h"
+#include "src/runtime/request_client.h"
 #include "src/runtime/routing_table.h"
 #include "src/runtime/workload.h"
 #include "src/sim/link.h"

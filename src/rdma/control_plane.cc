@@ -23,15 +23,6 @@ ConnectionService::ConnectionService(Env& env, RdmaEngine* local, const Config& 
   }
 }
 
-ConnectionService::ConnectionService(Env& env, RdmaEngine* local, int max_active_per_peer,
-                                     uint32_t congestion_threshold)
-    : ConnectionService(env, local, [&] {
-        Config config;
-        config.max_active_per_peer = max_active_per_peer;
-        config.congestion_threshold = congestion_threshold;
-        return config;
-      }()) {}
-
 void ConnectionService::Reconfigure(const Config& config) {
   config_ = config;
   if (config_.instrument) {

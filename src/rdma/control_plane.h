@@ -115,9 +115,6 @@ class ConnectionService {
   // class is complete, which rejects the braced default argument here.
   ConnectionService(Env& env, RdmaEngine* local);
   ConnectionService(Env& env, RdmaEngine* local, const Config& config);
-  // Legacy ConnectionManager-shaped constructor (tests, direct users).
-  ConnectionService(Env& env, RdmaEngine* local, int max_active_per_peer,
-                    uint32_t congestion_threshold = 16);
 
   ConnectionService(const ConnectionService&) = delete;
   ConnectionService& operator=(const ConnectionService&) = delete;

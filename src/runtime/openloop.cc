@@ -184,78 +184,4 @@ void OpenLoopSource::OnComplete(uint32_t tenant, SimTime issued_at) {
   rate_.RecordCompletion();
 }
 
-bool OpenLoopGatewayDriver::Issue(SimTime issued_at) {
-  OpenLoopSource* source = source_;
-  const uint32_t tenant = tenant_;
-  gateway_->SubmitRequest(tenant_, path_, payload_bytes_, [source, tenant, issued_at]() {
-    source->OnComplete(tenant, issued_at);
-  });
-  return true;
-}
-
-OpenLoopEchoDriver::OpenLoopEchoDriver(Env& env, OpenLoopSource* source, DataPlane* dataplane,
-                                       FunctionRuntime* client, FunctionRuntime* server,
-                                       uint32_t tenant, uint32_t payload_bytes)
-    : env_(&env), source_(source), dataplane_(dataplane), client_(client), server_(server),
-      tenant_(tenant), payload_bytes_(payload_bytes) {
-  client_->SetHandler(
-      [this](FunctionRuntime& /*fn*/, Buffer* buffer) { OnClientMessage(buffer); });
-  server_->SetHandler(
-      [this](FunctionRuntime& fn, Buffer* buffer) { OnServerMessage(fn, buffer); });
-}
-
-bool OpenLoopEchoDriver::Issue(SimTime issued_at) {
-  Buffer* buffer = client_->pool()->Get(client_->owner_id());
-  if (buffer == nullptr) {
-    return false;  // Pool backpressure: open loop sheds instead of waiting.
-  }
-  MessageHeader header;
-  header.chain = 0;
-  header.src = client_->id();
-  header.dst = server_->id();
-  header.payload_length = payload_bytes_;
-  header.request_id = next_request_++;
-  if (!WriteMessage(buffer, header) || !dataplane_->Send(client_, buffer)) {
-    client_->pool()->Put(buffer, client_->owner_id());
-    return false;
-  }
-  issue_times_[header.request_id] = issued_at;
-  return true;
-}
-
-void OpenLoopEchoDriver::OnClientMessage(Buffer* buffer) {
-  const std::optional<MessageHeader> header = ReadMessage(*buffer);
-  const auto it = header.has_value() ? issue_times_.find(header->request_id)
-                                     : issue_times_.end();
-  if (it == issue_times_.end()) {
-    // Same contract as TenantEchoLoad: duplicates/corruption never close a
-    // request they did not open.
-    ++unmatched_responses_;
-    client_->pool()->Put(buffer, client_->owner_id());
-    return;
-  }
-  const SimTime issued_at = it->second;
-  issue_times_.erase(it);
-  client_->pool()->Put(buffer, client_->owner_id());
-  source_->OnComplete(tenant_, issued_at);
-}
-
-void OpenLoopEchoDriver::OnServerMessage(FunctionRuntime& server, Buffer* buffer) {
-  const std::optional<MessageHeader> header = ReadMessage(*buffer);
-  if (!header.has_value()) {
-    server.pool()->Put(buffer, server.owner_id());
-    return;
-  }
-  MessageHeader reply;
-  reply.chain = header->chain;
-  reply.src = server.id();
-  reply.dst = header->src;
-  reply.payload_length = header->payload_length;
-  reply.request_id = header->request_id;
-  reply.flags = MessageHeader::kFlagResponse;
-  if (!RewriteHeader(buffer, reply) || !dataplane_->Send(&server, buffer)) {
-    server.pool()->Put(buffer, server.owner_id());
-  }
-}
-
 }  // namespace nadino

@@ -12,25 +12,24 @@
 // O(users); the 1M-user sweep in bench/openloop_scale holds the in-flight cap
 // fixed while the offered rate scales 100x.
 //
+// OpenLoopSource is only the source: its DispatchFn is the sink. For data
+// plane echoes (RunOpenLoopScale) the sink is one RequestClient per tenant
+// (src/runtime/request_client.h), whose completions call OnComplete.
+//
 // Open-loop semantics: an arrival that cannot be issued (in-flight cap hit,
-// buffer-pool backpressure, gateway admission failure) is SHED and counted —
-// it does not queue, and it does not slow subsequent arrivals. Goodput vs
-// offered load is the measurement, exactly the quantity a closed loop hides.
+// buffer-pool backpressure, a refused send) is SHED and counted — it does not
+// queue, and it does not slow subsequent arrivals. Goodput vs offered load is
+// the measurement, exactly the quantity a closed loop hides.
 
 #ifndef SRC_RUNTIME_OPENLOOP_H_
 #define SRC_RUNTIME_OPENLOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/env.h"
-#include "src/ingress/gateway.h"
-#include "src/runtime/dataplane.h"
-#include "src/runtime/function.h"
-#include "src/runtime/message_header.h"
 #include "src/sim/stats.h"
 
 namespace nadino {
@@ -182,60 +181,6 @@ class OpenLoopSource {
   DispatchFn dispatch_;
   RateMeter rate_;
   LatencyHistogram latencies_;
-};
-
-// Binds one OpenLoopSource tenant to the ingress gateway: each arrival
-// becomes a SubmitRequest and the gateway's completion closes the loop.
-class OpenLoopGatewayDriver {
- public:
-  OpenLoopGatewayDriver(OpenLoopSource* source, IngressGateway* gateway, uint32_t tenant,
-                        std::string path, uint32_t payload_bytes)
-      : source_(source), gateway_(gateway), tenant_(tenant), path_(std::move(path)),
-        payload_bytes_(payload_bytes) {}
-
-  bool Issue(SimTime issued_at);
-
- private:
-  OpenLoopSource* source_;
-  IngressGateway* gateway_;
-  uint32_t tenant_;
-  std::string path_;
-  uint32_t payload_bytes_;
-};
-
-// Binds one OpenLoopSource tenant to a DNE echo pair: each arrival sends one
-// echo message client -> server -> client through the dataplane, matched on
-// request id (same accounting contract as TenantEchoLoad: unmatched or
-// unparseable responses recycle the buffer without closing anything).
-class OpenLoopEchoDriver {
- public:
-  OpenLoopEchoDriver(Env& env, OpenLoopSource* source, DataPlane* dataplane,
-                     FunctionRuntime* client, FunctionRuntime* server, uint32_t tenant,
-                     uint32_t payload_bytes);
-
-  // Dispatch hook: sends one echo request. False (= shed) when the buffer
-  // pool backpressures or the send fails.
-  bool Issue(SimTime issued_at);
-
-  size_t pending_requests() const { return issue_times_.size(); }
-  uint64_t unmatched_responses() const { return unmatched_responses_; }
-
- private:
-  void OnClientMessage(Buffer* buffer);
-  void OnServerMessage(FunctionRuntime& server, Buffer* buffer);
-
-  Simulator& sim() const { return env_->sim(); }
-
-  Env* env_;
-  OpenLoopSource* source_;
-  DataPlane* dataplane_;
-  FunctionRuntime* client_;
-  FunctionRuntime* server_;
-  uint32_t tenant_;
-  uint32_t payload_bytes_;
-  uint64_t next_request_ = 1;
-  uint64_t unmatched_responses_ = 0;
-  std::map<uint64_t, SimTime> issue_times_;
 };
 
 }  // namespace nadino

@@ -64,11 +64,11 @@ void ClosedLoopClients::IssueRequest(uint32_t client_id) {
 
 TenantEchoLoad::TenantEchoLoad(Env& env, DataPlane* dataplane, FunctionRuntime* client,
                                FunctionRuntime* server, const Options& options)
-    : env_(&env), dataplane_(dataplane), client_(client), server_(server), options_(options) {
-  client_->SetHandler(
-      [this](FunctionRuntime& /*fn*/, Buffer* buffer) { OnClientMessage(buffer); });
-  server_->SetHandler(
-      [this](FunctionRuntime& fn, Buffer* buffer) { OnServerMessage(fn, buffer); });
+    : env_(&env), options_(options),
+      client_(env, dataplane, client,
+              RequestClient::Route{/*chain=*/0, server->id(), options.payload_bytes},
+              [this](SimTime issued_at) { OnComplete(issued_at); }) {
+  ServeEcho(dataplane, server);
 }
 
 void TenantEchoLoad::ScheduleActive(SimTime from, SimTime to) {
@@ -91,84 +91,30 @@ void TenantEchoLoad::SetActive(bool active) {
 }
 
 void TenantEchoLoad::Fill() {
-  while (active_ && outstanding_ < options_.window) {
-    if (!IssueOne()) {
+  while (active_ && outstanding() < options_.window) {
+    if (!client_.Issue()) {
       break;  // Backpressure: resume filling as completions come back.
     }
+    pending_peak_ = std::max(pending_peak_, client_.pending());
+    if (SloObject* slo = env_->slos().OfTenant(tenant())) {
+      slo->RecordRequest();
+    }
+    ArmReaper();
   }
 }
 
-bool TenantEchoLoad::IssueOne() {
-  Buffer* buffer = client_->pool()->Get(client_->owner_id());
-  if (buffer == nullptr) {
-    return false;  // Pool backpressure: retry as completions come back.
-  }
-  MessageHeader header;
-  header.chain = 0;
-  header.src = client_->id();
-  header.dst = server_->id();
-  header.payload_length = options_.payload_bytes;
-  header.request_id = next_request_++;
-  if (!WriteMessage(buffer, header) || !dataplane_->Send(client_, buffer)) {
-    client_->pool()->Put(buffer, client_->owner_id());
-    return false;
-  }
-  issue_times_[header.request_id] = sim().now();
-  pending_peak_ = std::max(pending_peak_, issue_times_.size());
-  ++outstanding_;
-  if (SloObject* slo = env_->slos().OfTenant(client_->tenant())) {
-    slo->RecordRequest();
-  }
-  ArmReaper();
-  return true;
-}
-
-void TenantEchoLoad::OnClientMessage(Buffer* buffer) {
-  const std::optional<MessageHeader> header = ReadMessage(*buffer);
-  const auto it = header.has_value() ? issue_times_.find(header->request_id)
-                                     : issue_times_.end();
-  if (it == issue_times_.end()) {
-    // Unparseable header (corruption) or a request id we no longer track (a
-    // FaultPlane duplicate, or a response outliving its reaped request).
-    // Counting it would drive outstanding_ negative and over-fill the window
-    // on the next Fill(), so only the buffer is recycled.
-    ++unmatched_responses_;
-    client_->pool()->Put(buffer, client_->owner_id());
-    return;
-  }
-  const SimDuration latency = sim().now() - it->second;
+void TenantEchoLoad::OnComplete(SimTime issued_at) {
+  const SimDuration latency = sim().now() - issued_at;
   latencies_.Record(latency);
-  if (SloObject* slo = env_->slos().OfTenant(client_->tenant())) {
+  if (SloObject* slo = env_->slos().OfTenant(tenant())) {
     slo->RecordLatency(latency);
   }
-  issue_times_.erase(it);
-  // A matched echo response: recycle and keep the window full.
-  client_->pool()->Put(buffer, client_->owner_id());
-  --outstanding_;
   ++completed_;
   if (completed_ == 1 && on_first_response_) {
     on_first_response_();
   }
   rate_.RecordCompletion();
   Fill();
-}
-
-void TenantEchoLoad::OnServerMessage(FunctionRuntime& server, Buffer* buffer) {
-  const std::optional<MessageHeader> header = ReadMessage(*buffer);
-  if (!header.has_value()) {
-    server.pool()->Put(buffer, server.owner_id());
-    return;
-  }
-  MessageHeader reply;
-  reply.chain = header->chain;
-  reply.src = server.id();
-  reply.dst = header->src;
-  reply.payload_length = header->payload_length;
-  reply.request_id = header->request_id;
-  reply.flags = MessageHeader::kFlagResponse;
-  if (!RewriteHeader(buffer, reply) || !dataplane_->Send(&server, buffer)) {
-    server.pool()->Put(buffer, server.owner_id());
-  }
 }
 
 void TenantEchoLoad::ArmReaper() {
@@ -181,17 +127,12 @@ void TenantEchoLoad::ArmReaper() {
 
 void TenantEchoLoad::ReapTick() {
   reaper_armed_ = false;
-  const SimTime cutoff = sim().now() - options_.pending_timeout;
-  while (!issue_times_.empty() && issue_times_.begin()->second <= cutoff) {
-    // Permanently dropped ("counted not hung" at the injection site, retries
-    // exhausted): the response will never arrive. Release the window slot and
-    // forget the id — a zombie late response lands in unmatched_responses_.
-    issue_times_.erase(issue_times_.begin());
-    --outstanding_;
-    ++reaped_;
-  }
+  // Permanently dropped ("counted not hung" at the injection site, retries
+  // exhausted): the response will never arrive. Expiring the id releases its
+  // window slot; a zombie late response counts as unmatched.
+  reaped_ += client_.ExpireIssuedBy(sim().now() - options_.pending_timeout);
   Fill();
-  if (active_ || !issue_times_.empty()) {
+  if (active_ || client_.pending() > 0) {
     reaper_armed_ = true;
     sim().Schedule(options_.pending_timeout, [this]() { ReapTick(); });
   }

@@ -1,14 +1,15 @@
 // Load generation: a wrk-like closed-loop client fleet driving the ingress
-// gateway (sections 4.1.3, 4.3) and per-tenant echo loads for the RDMA
-// multi-tenancy experiments (sections 4.2, Appendix A). The open-loop
-// counterpart (aggregated arrival processes, DESIGN.md §3g) lives in
-// src/runtime/openloop.h.
+// gateway (sections 4.1.3, 4.3) and per-tenant windowed echo loads for the
+// RDMA multi-tenancy experiments (sections 4.2, Appendix A). These are
+// sources: they decide when a request goes out. The open-loop source
+// (aggregated arrival processes, DESIGN.md §3g) lives in
+// src/runtime/openloop.h; every source that loads the data plane issues and
+// matches through the one RequestClient in src/runtime/request_client.h.
 
 #ifndef SRC_RUNTIME_WORKLOAD_H_
 #define SRC_RUNTIME_WORKLOAD_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +18,7 @@
 #include "src/ingress/gateway.h"
 #include "src/runtime/dataplane.h"
 #include "src/runtime/function.h"
-#include "src/runtime/message_header.h"
+#include "src/runtime/request_client.h"
 #include "src/sim/stats.h"
 
 namespace nadino {
@@ -80,19 +81,16 @@ class ClosedLoopClients {
 // A client/server echo pair for one tenant, placed on two nodes, driving
 // inter-node transfers through the network engine. Closed loop with a
 // configurable window of outstanding requests; activation windows reproduce
-// the staggered tenant arrivals of Figs. 15/17.
+// the staggered tenant arrivals of Figs. 15/17. Issue, match and echo go
+// through RequestClient and ServeEcho (src/runtime/request_client.h), so only
+// matched responses complete; duplicates and unparseable responses land in
+// unmatched_responses().
 //
-// Accounting contract (the FaultPlane makes all of these reachable):
-//  - Only responses matching an issued-and-still-pending request id are
-//    counted: a FaultPlane-duplicated response, a response outliving its
-//    reaped request, or a corrupted/unparseable header recycles the buffer
-//    without touching outstanding_/completed_/rate (they are tallied in
-//    unmatched_responses() instead).
-//  - With Options::pending_timeout set, permanently lost requests ("counted
-//    not hung" drops whose response will never arrive) are reaped: the
-//    pending entry is erased, the window slot is released, and reaped() is
-//    incremented — so pending_requests() stays bounded by the window no
-//    matter how long a chaos run goes.
+// With Options::pending_timeout set, permanently lost requests ("counted not
+// hung" drops whose response will never arrive) are reaped: the pending entry
+// is expired, the window slot is released, and reaped() is incremented — so
+// pending_requests() stays bounded by the window no matter how long a chaos
+// run goes.
 class TenantEchoLoad {
  public:
   struct Options {
@@ -118,25 +116,22 @@ class TenantEchoLoad {
 
   RateMeter& rate() { return rate_; }
   uint64_t completed() const { return completed_; }
-  TenantId tenant() const { return client_->tenant(); }
+  TenantId tenant() const { return client_.function()->tenant(); }
   const LatencyHistogram& latencies() const { return latencies_; }
   LatencyHistogram& mutable_latencies() { return latencies_; }
 
-  // Accounting introspection (chaos-test assertions).
-  int outstanding() const { return outstanding_; }
-  size_t pending_requests() const { return issue_times_.size(); }
+  // Accounting introspection (chaos-test assertions). Every pending request
+  // holds one window slot, so outstanding() == pending_requests().
+  int outstanding() const { return static_cast<int>(client_.pending()); }
+  size_t pending_requests() const { return client_.pending(); }
   size_t pending_peak() const { return pending_peak_; }
   uint64_t reaped() const { return reaped_; }
-  uint64_t unmatched_responses() const { return unmatched_responses_; }
+  uint64_t unmatched_responses() const { return client_.unmatched_responses(); }
 
  private:
   void Fill();
-  // Issues one request; false when the pool backpressures (retry on the next
-  // completion) or the send fails.
-  bool IssueOne();
-  void OnClientMessage(Buffer* buffer);
-  void OnServerMessage(FunctionRuntime& server, Buffer* buffer);
-  // Periodic sweep dropping pending entries older than pending_timeout. Arms
+  void OnComplete(SimTime issued_at);
+  // Periodic sweep expiring pending requests older than pending_timeout. Arms
   // lazily (first issue) and disarms when the load is inactive with nothing
   // pending, so finite runs still drain the event queue.
   void ArmReaper();
@@ -145,23 +140,15 @@ class TenantEchoLoad {
   Simulator& sim() const { return env_->sim(); }
 
   Env* env_;
-  DataPlane* dataplane_;
-  FunctionRuntime* client_;
-  FunctionRuntime* server_;
   Options options_;
+  RequestClient client_;
   bool active_ = false;
   bool reaper_armed_ = false;
-  int outstanding_ = 0;
   uint64_t completed_ = 0;
-  uint64_t next_request_ = 1;
   uint64_t reaped_ = 0;
-  uint64_t unmatched_responses_ = 0;
   size_t pending_peak_ = 0;
   RateMeter rate_;
   LatencyHistogram latencies_;
-  // request id -> issue time. Ids are issued in increasing order, so map
-  // order is also issue-time order and the reaper pops from begin().
-  std::map<uint64_t, SimTime> issue_times_;
   std::function<void()> on_first_response_;
 };
 

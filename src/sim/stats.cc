@@ -2,28 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace nadino {
-
-void MeanAccumulator::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++count_;
-}
-
-void MeanAccumulator::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
 
 LatencyHistogram::LatencyHistogram() : buckets_(kOctaves * kSubBuckets, 0) {}
 
@@ -65,24 +45,6 @@ void LatencyHistogram::Record(SimDuration value) {
   ++buckets_[static_cast<size_t>(BucketIndex(value))];
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-}
-
 double LatencyHistogram::MeanUs() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_) / kMicrosecond;
 }
@@ -121,16 +83,6 @@ double TimeSeries::MeanInWindow(SimTime from, SimTime to) const {
     }
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-std::string TimeSeries::ToText() const {
-  std::string out;
-  char line[64];
-  for (const Sample& s : samples_) {
-    std::snprintf(line, sizeof(line), "%.3f %.3f\n", ToSeconds(s.at), s.value);
-    out += line;
-  }
-  return out;
 }
 
 double RateMeter::Roll(SimTime now) {

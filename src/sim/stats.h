@@ -1,5 +1,6 @@
-// Statistics collection: counters, mean accumulators, log-bucketed latency
-// histograms, and time series samplers used by the benchmark harnesses.
+// Statistics collection: log-bucketed latency histograms, time series and
+// rate meters used by the benchmark harnesses. Counters live in the metrics
+// registry (src/sim/metrics.h).
 
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -12,34 +13,6 @@
 
 namespace nadino {
 
-// Simple monotonically increasing event counter.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-// Online mean/min/max accumulator (no sample storage).
-class MeanAccumulator {
- public:
-  void Add(double x);
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  void Reset();
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // Latency histogram with logarithmic buckets (HdrHistogram-style, base-2 with
 // linear sub-buckets). Records SimDuration values; supports percentile query
 // with bounded relative error (~1.6% at 64 sub-buckets).
@@ -48,7 +21,6 @@ class LatencyHistogram {
   LatencyHistogram();
 
   void Record(SimDuration value);
-  void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
   SimDuration min() const { return count_ == 0 ? 0 : min_; }
@@ -89,9 +61,6 @@ class TimeSeries {
 
   // Mean of values recorded in [from, to).
   double MeanInWindow(SimTime from, SimTime to) const;
-
-  // Renders "t_seconds value" lines, one per sample.
-  std::string ToText() const;
 
  private:
   std::vector<Sample> samples_;

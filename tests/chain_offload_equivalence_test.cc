@@ -115,5 +115,31 @@ TEST(ChainOffloadEquivalence, EqualSeedsAreByteIdenticalIncludingFaults) {
   EXPECT_NE(other.metrics_json, first.metrics_json);
 }
 
+TEST(ChainOffloadEquivalence, DuplicatedResponsesNeverCountAsCompletions) {
+  // A duplicating wire delivers some final responses twice. Only the first
+  // closes its request; the copy lands in unmatched_responses, so completions
+  // never exceed what was issued, per tenant or in total.
+  const CostModel cost = CostModel::Default();
+  for (const FaultSite site :
+       {FaultSite::kFabric, FaultSite::kLink, FaultSite::kRnicRx, FaultSite::kRnicTx}) {
+    ChainOffloadOptions options;
+    options.offload = true;
+    FaultSpec duplicate;
+    duplicate.site = site;
+    duplicate.action = FaultAction::kDuplicate;
+    duplicate.probability = 0.05;
+    options.faults.push_back(duplicate);
+
+    const ChainOffloadResult result = RunChainOffload(cost, options);
+    const auto issued = static_cast<uint64_t>(options.tenants * options.requests_per_tenant);
+    EXPECT_LE(result.completed, issued) << FaultSiteName(site);
+    for (const auto& [tenant, completed] : result.tenant_completed) {
+      EXPECT_LE(completed, static_cast<uint64_t>(options.requests_per_tenant))
+          << FaultSiteName(site) << " tenant " << tenant;
+    }
+    EXPECT_GT(result.unmatched_responses, 0u) << FaultSiteName(site);
+  }
+}
+
 }  // namespace
 }  // namespace nadino

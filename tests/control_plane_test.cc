@@ -137,7 +137,7 @@ TEST_F(ControlPlaneTest, PerFunctionStreamsKeySeparatePools) {
 }
 
 TEST_F(ControlPlaneTest, DestroyTenantRetiresQpsAndCostsVerbs) {
-  ConnectionService service(env_, &a_, 8);
+  ConnectionService service(env_, &a_, LazyConfig(ConnectPolicy::kEager));
   service.Prewarm(&b_, kTenant, 3);
   const auto acquired = service.Acquire(2, kTenant);
   ASSERT_NE(acquired.qp, 0u);
@@ -175,7 +175,7 @@ TEST_F(ControlPlaneTest, DestroyTenantFailsEstablishmentWaiters) {
 }
 
 TEST_F(ControlPlaneTest, QuiescePeerShadowsIdleConnections) {
-  ConnectionService service(env_, &a_, 8);
+  ConnectionService service(env_, &a_, LazyConfig(ConnectPolicy::kEager));
   service.Prewarm(&b_, kTenant, 2);
   EXPECT_EQ(service.ActiveCount(2, kTenant), 2);
   service.QuiescePeer(2);

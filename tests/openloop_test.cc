@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/experiments.h"
+#include "src/core/fault.h"
 
 namespace nadino {
 namespace {
@@ -225,6 +226,30 @@ TEST(OpenLoopScaleTest, ShardCountInvarianceEndToEnd) {
   EXPECT_EQ(sharded.unmatched_responses, 0u);
   EXPECT_EQ(single.metrics_text, sharded.metrics_text);
   EXPECT_EQ(single.metrics_json, sharded.metrics_json);
+}
+
+TEST(OpenLoopScaleTest, DuplicatedEchoesKeepTheAccountingClosed) {
+  // A 5% duplicating fabric doubles some echo responses. The open-loop
+  // identities must still hold: every offered arrival was dispatched or shed,
+  // every dispatched request completed exactly once or is still pending, and
+  // the duplicates are counted rather than completed.
+  OpenLoopScaleOptions options;
+  options.nodes = 4;
+  options.tenants = 4;
+  options.users = 2000;
+  options.horizon = 300 * kMillisecond;
+  options.max_in_flight_per_tenant = 128;
+  FaultSpec duplicate;
+  duplicate.site = FaultSite::kFabric;
+  duplicate.action = FaultAction::kDuplicate;
+  duplicate.probability = 0.05;
+  options.faults.push_back(duplicate);
+
+  const OpenLoopScaleResult result = RunOpenLoopScale(CostModel::Default(), options);
+  EXPECT_GT(result.completed, 0u);
+  EXPECT_EQ(result.offered, result.dispatched + result.shed);
+  EXPECT_EQ(result.completed + result.pending_at_end, result.dispatched);
+  EXPECT_GT(result.unmatched_responses, 0u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for counters, histograms, time series, and rate meters.
+// Tests for histograms, time series, and rate meters.
 
 #include "src/sim/stats.h"
 
@@ -6,31 +6,6 @@
 
 namespace nadino {
 namespace {
-
-TEST(CounterTest, AddAndReset) {
-  Counter c;
-  c.Add();
-  c.Add(5);
-  EXPECT_EQ(c.value(), 6u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(MeanAccumulatorTest, TracksMeanMinMax) {
-  MeanAccumulator acc;
-  acc.Add(2.0);
-  acc.Add(4.0);
-  acc.Add(9.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_EQ(acc.count(), 3u);
-}
-
-TEST(MeanAccumulatorTest, EmptyMeanIsZero) {
-  MeanAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-}
 
 TEST(LatencyHistogramTest, ExactForSmallValues) {
   LatencyHistogram h;
@@ -60,17 +35,6 @@ TEST(LatencyHistogramTest, MeanUs) {
   h.Record(1000);
   h.Record(3000);
   EXPECT_DOUBLE_EQ(h.MeanUs(), 2.0);
-}
-
-TEST(LatencyHistogramTest, MergeCombines) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.Record(100);
-  b.Record(300);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.min(), 100);
-  EXPECT_EQ(a.max(), 300);
 }
 
 TEST(LatencyHistogramTest, ResetClears) {
@@ -112,12 +76,6 @@ TEST(TimeSeriesTest, RecordsAndWindows) {
   EXPECT_EQ(ts.samples().size(), 3u);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(1 * kSecond, 3 * kSecond), 15.0);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(10 * kSecond, 20 * kSecond), 0.0);
-}
-
-TEST(TimeSeriesTest, ToTextFormat) {
-  TimeSeries ts;
-  ts.Record(1 * kSecond, 2.5);
-  EXPECT_EQ(ts.ToText(), "1.000 2.500\n");
 }
 
 TEST(RateMeterTest, RollComputesRate) {
