@@ -62,8 +62,8 @@ double IdleEventsPerSec(uint64_t total, int width) {
 }
 
 // Schedule + cancel churn: every scheduled event is cancelled before it can
-// fire, plus one live pacer event per batch. Measures the cancellation path
-// the RDMA ACK timers and chain per-attempt timeouts lean on.
+// fire, plus one live pacer event per batch. Measures Cancel() and the lazy
+// discard of cancelled heap entries.
 double CancelOpsPerSec(uint64_t batches, int batch_size) {
   Simulator sim;
   uint64_t ops = 0;

@@ -146,10 +146,18 @@ GOLDEN_ARTIFACTS=(BENCH_chain_offload.json BENCH_fig06_dne_4096.json BENCH_fig09
 RUN_DIR="$(mktemp -d)"
 trap 'rm -rf "${RUN_DIR}"' EXIT
 ROOT_DIR="$(pwd)"
+# Wall time per golden bench and for the whole suite: the suite total is the
+# repo's end-to-end simulator-cost number (ROADMAP aim 1).
+SUITE_START="${EPOCHREALTIME}"
 for bench in "${GOLDEN_BENCHES[@]}"; do
   echo "bench-diff: running ${bench}..."
+  BENCH_START="${EPOCHREALTIME}"
   (cd "${RUN_DIR}" && "${ROOT_DIR}/${BUILD_DIR}/bench/${bench}" > "${bench}.out")
+  awk -v b="${bench}" -v s="${BENCH_START}" -v e="${EPOCHREALTIME}" \
+    'BEGIN { printf "bench-diff: %s wall %.1f s\n", b, e - s }'
 done
+awk -v s="${SUITE_START}" -v e="${EPOCHREALTIME}" \
+  'BEGIN { printf "bench-diff: golden suite wall %.1f s\n", e - s }'
 
 if [[ "${UPDATE_GOLDENS}" -eq 1 ]]; then
   mkdir -p "${GOLDEN_DIR}"

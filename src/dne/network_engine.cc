@@ -1,5 +1,6 @@
 #include "src/dne/network_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -547,14 +548,31 @@ void NetworkEngine::DeliverLocal(FunctionId fn, Buffer* buffer, BufferPool* pool
 
 void NetworkEngine::ReplenishTick() {
   // Core-thread work (section 3.5.2): post as many fresh receive buffers as
-  // the RX stage consumed since the last tick, per tenant.
+  // the RX stage consumed since the last tick, per tenant. Only tenants with
+  // consumed CQEs or carried debt are due; visiting them in ascending tenant
+  // order keeps the wr_ids and pool gets of a full sweep.
+  due_tenants_.clear();
+  rbr_.TakeDueTenants(&due_tenants_);
+  for (const auto& [tenant, debt] : replenish_debt_) {
+    due_tenants_.push_back(tenant);
+  }
+  std::sort(due_tenants_.begin(), due_tenants_.end());
+  due_tenants_.erase(std::unique(due_tenants_.begin(), due_tenants_.end()), due_tenants_.end());
   SimDuration work = 300;
-  for (auto& [tenant, pool] : tenant_pools_) {
-    const uint64_t due = rbr_.TakeConsumedCount(tenant) + replenish_debt_[tenant];
-    if (due > 0) {
-      const uint64_t posted = PostRecvBuffers(tenant, due);
-      work += static_cast<SimDuration>(150 * posted);
-      replenish_debt_[tenant] = due - posted;  // Retry the rest next tick.
+  for (const TenantId tenant : due_tenants_) {
+    const auto debt_it = replenish_debt_.find(tenant);
+    const uint64_t debt = debt_it == replenish_debt_.end() ? 0 : debt_it->second;
+    const uint64_t due = rbr_.TakeConsumedCount(tenant) + debt;
+    if (due == 0) {
+      continue;
+    }
+    const uint64_t posted = PostRecvBuffers(tenant, due);
+    work += static_cast<SimDuration>(150 * posted);
+    // Retry the rest next tick.
+    if (posted < due) {
+      replenish_debt_[tenant] = due - posted;
+    } else if (debt_it != replenish_debt_.end()) {
+      replenish_debt_.erase(debt_it);
     }
   }
   core_thread_core_->Consume(work);

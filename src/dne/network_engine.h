@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/core/env.h"
 #include "src/core/types.h"
@@ -217,7 +218,9 @@ class NetworkEngine {
   std::map<TenantId, BufferPool*> tenant_pools_;
   std::map<FunctionId, LocalEndpoint> endpoints_;
   std::map<uint64_t, InFlightSend> in_flight_;
-  std::map<TenantId, uint64_t> replenish_debt_;  // Deferred by pool exhaustion.
+  // Nonzero only: receive buffers a tick could not post (pool exhausted).
+  std::map<TenantId, uint64_t> replenish_debt_;
+  std::vector<TenantId> due_tenants_;  // ReplenishTick scratch.
   Tracer* tracer_ = nullptr;
   uint64_t next_wr_id_ = 1;
   bool tx_scheduled_ = false;

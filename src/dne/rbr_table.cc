@@ -14,7 +14,12 @@ Buffer* RbrTable::Consume(uint64_t wr_id, TenantId tenant) {
   }
   Buffer* buffer = it->second.buffer;
   entries_.erase(it);
-  ++consumed_[tenant];
+  Consumed& consumed = consumed_[tenant];
+  ++consumed.count;
+  if (!consumed.listed) {
+    consumed.listed = true;
+    due_.push_back(tenant);
+  }
   return buffer;
 }
 
@@ -23,9 +28,17 @@ uint64_t RbrTable::TakeConsumedCount(TenantId tenant) {
   if (it == consumed_.end()) {
     return 0;
   }
-  const uint64_t n = it->second;
-  it->second = 0;
+  const uint64_t n = it->second.count;
+  it->second.count = 0;
   return n;
+}
+
+void RbrTable::TakeDueTenants(std::vector<TenantId>* out) {
+  for (const TenantId tenant : due_) {
+    consumed_[tenant].listed = false;
+    out->push_back(tenant);
+  }
+  due_.clear();
 }
 
 }  // namespace nadino

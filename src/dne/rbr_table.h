@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "src/core/types.h"
 #include "src/mem/buffer.h"
@@ -29,6 +31,11 @@ class RbrTable {
   // the replenisher.
   uint64_t TakeConsumedCount(TenantId tenant);
 
+  // Appends to `out` each tenant that consumed a CQE since it was last
+  // listed here (once per tenant, in consumption order), so the replenisher
+  // visits only tenants with work instead of every attached one.
+  void TakeDueTenants(std::vector<TenantId>* out);
+
   size_t outstanding() const { return entries_.size(); }
   uint64_t mismatches() const { return mismatches_; }
 
@@ -37,9 +44,14 @@ class RbrTable {
     Buffer* buffer = nullptr;
     TenantId tenant = kInvalidTenant;
   };
+  struct Consumed {
+    uint64_t count = 0;
+    bool listed = false;  // In due_ awaiting TakeDueTenants.
+  };
 
   std::map<uint64_t, Entry> entries_;
-  std::map<TenantId, uint64_t> consumed_;
+  std::unordered_map<TenantId, Consumed> consumed_;
+  std::vector<TenantId> due_;
   uint64_t mismatches_ = 0;
 };
 

@@ -64,7 +64,9 @@ void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery deliv
         tenant);
   };
   if (fault.action == FaultAction::kDuplicate) {
-    transit(delivered);  // Same callback fires twice; receivers are idempotent.
+    // The duplicate's one copy: the same callback fires twice; receivers are
+    // idempotent.
+    transit(Delivery(delivered));
   }
   if (fault.action == FaultAction::kDelay) {
     env_->sim().Schedule(fault.delay, [transit = std::move(transit),

@@ -600,16 +600,50 @@ void RdmaEngine::ArmAckTimeout(const Packet& pkt) {
   info.imm = pkt.imm;
   info.signaled = posting_signaled_;
   info.hook = std::move(posting_hook_);
+  info.generation = next_ack_generation_++;
+  const AckDeadline deadline{sim().now() + env_->cost().rnic_ack_timeout, sim().ReserveSeq(),
+                             key, info.generation};
+  assert((ack_deadlines_.empty() || ack_deadlines_.back().when <= deadline.when) &&
+         "ACK deadlines must be armed in order");
   pending_acks_[key] = std::move(info);
-  sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
+  ack_deadlines_.push_back(deadline);
+  if (!ack_timer_scheduled_) {
+    ScheduleAckTimer();
+  }
 }
 
-void RdmaEngine::OnAckTimeout(AckKey key) {
-  const auto it = pending_acks_.find(key);
-  if (it == pending_acks_.end()) {
-    return;  // ACKed (or locally failed) in time.
+void RdmaEngine::ScheduleAckTimer() {
+  while (!ack_deadlines_.empty()) {
+    const AckDeadline& next = ack_deadlines_.front();
+    const auto it = pending_acks_.find(next.key);
+    if (it != pending_acks_.end() && it->second.generation == next.generation) {
+      ack_timer_scheduled_ = true;
+      sim().ScheduleReserved(next.when, next.seq, [this]() { OnAckTimer(); });
+      return;
+    }
+    ack_deadlines_.pop_front();  // Answered (or re-armed) before its deadline.
   }
-  const PendingAck info = it->second;
+}
+
+void RdmaEngine::OnAckTimer() {
+  // The front is the deadline this timer was set for: entries are only
+  // popped here and in ScheduleAckTimer, which runs while no timer is set.
+  ack_timer_scheduled_ = false;
+  const AckDeadline due = ack_deadlines_.front();
+  ack_deadlines_.pop_front();
+  // A completion hook may post (and arm) a new WR, which sets the timer.
+  OnAckTimeout(due.key, due.generation);
+  if (!ack_timer_scheduled_) {
+    ScheduleAckTimer();
+  }
+}
+
+void RdmaEngine::OnAckTimeout(AckKey key, uint64_t generation) {
+  const auto it = pending_acks_.find(key);
+  if (it == pending_acks_.end() || it->second.generation != generation) {
+    return;  // ACKed (or locally failed) since the timer was set.
+  }
+  const PendingAck info = std::move(it->second);
   pending_acks_.erase(it);
   if (info.op == RdmaOpcode::kRead) {
     pending_reads_.erase(key.second);

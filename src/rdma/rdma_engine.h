@@ -12,6 +12,7 @@
 #define SRC_RDMA_RDMA_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -207,19 +208,40 @@ class RdmaEngine {
     uint32_t imm = 0;
     bool signaled = true;
     WrCompletionHook hook;  // Consumes the completion instead of the CQ.
+    // Tags this arming of its key; only the matching AckDeadline can time
+    // it out, so a re-armed (qp, wr_id) keeps its own deadline.
+    uint64_t generation = 0;
   };
   // (local qp, wr_id): wr_ids are per-poster, so qualify with the QP.
   using AckKey = std::pair<QpNum, uint64_t>;
 
+  // One armed WR's ACK deadline, with the event seq reserved when it was
+  // armed (Simulator::ReserveSeq). rnic_ack_timeout is constant, so
+  // deadlines are armed in nondecreasing (when, seq) order and a FIFO keeps
+  // them sorted.
+  struct AckDeadline {
+    SimTime when = 0;
+    uint64_t seq = 0;
+    AckKey key;
+    uint64_t generation = 0;
+  };
+
   RcQp* FindQp(QpNum qp);
   const RcQp* FindQp(QpNum qp) const;
 
-  // Tracks the WR and arms the rnic_ack_timeout deadline. Fires as a no-op
-  // when the ACK arrived in time; otherwise completes the WR locally with
-  // kTransportError (RC retransmit exhaustion), exactly like an injected
-  // kRnicTx drop — dropped, counted, not hung.
+  // Tracks the WR and queues its rnic_ack_timeout deadline. A WR still
+  // pending at its deadline completes locally with kTransportError (RC
+  // retransmit exhaustion), exactly like an injected kRnicTx drop — dropped,
+  // counted, not hung. An ACKed WR costs no event: the engine keeps one
+  // timer, at the earliest deadline whose WR was still pending when the
+  // timer was set, and it runs at the (when, seq) the WR's own timeout
+  // event would have had.
   void ArmAckTimeout(const Packet& pkt);
-  void OnAckTimeout(AckKey key);
+  // Drops answered deadlines off the front of the FIFO and schedules the
+  // timer for the first one still pending, if any.
+  void ScheduleAckTimer();
+  void OnAckTimer();
+  void OnAckTimeout(AckKey key, uint64_t generation);
 
   // Consults the kRnicTx fault site, then charges the TX pipeline and puts
   // the packet on the wire. An injected drop completes the WR locally with
@@ -270,6 +292,9 @@ class RdmaEngine {
   std::map<TenantId, uint64_t> tenant_bytes_tx_;
   std::map<uint64_t, Buffer*> pending_reads_;  // wr_id -> destination buffer.
   std::map<AckKey, PendingAck> pending_acks_;
+  std::deque<AckDeadline> ack_deadlines_;
+  uint64_t next_ack_generation_ = 1;
+  bool ack_timer_scheduled_ = false;
   std::map<PoolId, WriteArrivalHook> write_hooks_;
   // Staging for the WR being posted right now: PostWr parks the hook and
   // signaled flag here, and ArmAckTimeout (called synchronously inside

@@ -6,6 +6,7 @@
 #define SRC_SIM_LINK_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/core/fault.h"
@@ -33,7 +34,7 @@ class Link {
   // Sends `bytes` through the link; `delivered` fires at arrival time.
   // A kLink drop fault discards the message before it serializes (`delivered`
   // never fires; dropped() counts it); delay stretches propagation; duplicate
-  // serializes and delivers the message twice.
+  // serializes and delivers the message twice (the one copy of `delivered`).
   void Transfer(uint64_t bytes, Callback delivered, TenantId tenant = kInvalidTenant);
 
   // Serialization time for a message of `bytes` at this link's bandwidth.
@@ -52,7 +53,9 @@ class Link {
   void ResetWindow() { pipe_.ResetWindow(); }
 
  private:
-  void Serialize(uint64_t bytes, SimDuration extra_propagation, const Callback& delivered);
+  // Takes `delivered` by value and moves it into the pipe job, then into the
+  // propagation event: a hop never copies the (payload-carrying) callback.
+  void Serialize(uint64_t bytes, SimDuration extra_propagation, Callback delivered);
 
   Simulator* sim_;
   double bytes_per_ns_;

@@ -188,6 +188,7 @@ bool Simulator::PopAndRunBefore(SimTime deadline) {
   current_shard_ = static_cast<uint32_t>(shard);
   Slot& slot = SlotAt(top.slot);
   now_ = top.when;
+  running_seq_ = top.seq;
   ++events_processed_;
   --live_count_;
   // Invoke in place: kRunning keeps the slot out of the free list (a
@@ -213,6 +214,7 @@ void Simulator::RunUntil(SimTime deadline) {
   }
   if (now_ < deadline) {
     now_ = deadline;
+    running_seq_ = 0;
   }
 }
 

@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -164,10 +163,6 @@ bool EventCallback::Emplace(F&& f) {
 
 class Simulator {
  public:
-  // Kept for call sites that name their callback type; Schedule itself is a
-  // template and stores the callable directly (no std::function wrapping).
-  using Callback = std::function<void()>;
-
   // Upper bound on event-queue shards; one per node is the intended mapping,
   // so this matches the largest topology the benches sweep.
   static constexpr uint32_t kMaxShards = 64;
@@ -221,16 +216,26 @@ class Simulator {
 
   template <typename F>
   EventId ScheduleAtOn(uint32_t shard, SimTime when, F&& f) {
-    if (when < now_) {
-      when = now_;
-    }
-    const uint32_t slot_index = AllocSlot();
-    Slot& slot = SlotAt(slot_index);
-    slot.state = SlotState::kLive;
-    callback_heap_spills_ += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
-    HeapPush(ShardIndex(shard), HeapEntry{when, next_seq_++, slot_index});
-    ++live_count_;
-    return MakeId(slot_index, slot.generation);
+    return Push(shard, when, next_seq_++, std::forward<F>(f));
+  }
+
+  // Deferred scheduling. ReserveSeq() claims the next scheduling sequence
+  // number without queueing anything; ScheduleReserved(when, seq, f) later
+  // queues `f` under that seq. The event then runs exactly where it would
+  // have run had it been scheduled at reservation time for the same `when`:
+  // after same-instant events scheduled before the reservation, before those
+  // scheduled after it. A component whose events are mostly no-ops (an ACK
+  // deadline that the ACK beat) reserves a seq per cause and queues only the
+  // events that will do work, so eliding the rest changes no order. `when`
+  // must not precede now() and the reserved (when, seq) must not precede the
+  // running event; the returned id is cancellable like any other.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  template <typename F>
+  EventId ScheduleReserved(SimTime when, uint64_t seq, F&& f) {
+    assert(seq < next_seq_ && "ScheduleReserved needs a seq from ReserveSeq");
+    assert((when > now_ || seq > running_seq_) && "reserved slot already passed");
+    return Push(current_shard_, when, seq, std::forward<F>(f));
   }
 
   // Bulk admission of `whens.size()` events onto one shard; `make(i)` builds
@@ -392,6 +397,21 @@ class Simulator {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t index);
 
+  // Queues `f` at (when, seq) on `shard`; `when` clamps to >= now().
+  template <typename F>
+  EventId Push(uint32_t shard, SimTime when, uint64_t seq, F&& f) {
+    if (when < now_) {
+      when = now_;
+    }
+    const uint32_t slot_index = AllocSlot();
+    Slot& slot = SlotAt(slot_index);
+    slot.state = SlotState::kLive;
+    callback_heap_spills_ += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
+    HeapPush(ShardIndex(shard), HeapEntry{when, seq, slot_index});
+    ++live_count_;
+    return MakeId(slot_index, slot.generation);
+  }
+
   // Re-mirrors shard's heap head into head_keys_ (sentinel when empty).
   void SyncHead(uint32_t shard) {
     const std::vector<HeapEntry>& heap = shards_[shard].heap;
@@ -423,6 +443,9 @@ class Simulator {
   // Shard of the event currently executing; Schedule/ScheduleAt inherit it.
   uint32_t current_shard_ = 0;
   uint64_t next_seq_ = 1;
+  // Seq of the last event run at now() (0 when none has): the bound
+  // ScheduleReserved checks its reserved (when, seq) against.
+  uint64_t running_seq_ = 0;
   uint64_t events_processed_ = 0;
   size_t live_count_ = 0;
   bool stopped_ = false;

@@ -1,9 +1,12 @@
-// Tests for the RDMA fabric: port contention, bandwidth sharing, and the
-// congestion signals the DNE's connection selection relies on.
+// Tests for the RDMA fabric: port contention, bandwidth sharing, the
+// congestion signals the DNE's connection selection relies on, and copy-free
+// hops.
 
 #include "src/rdma/fabric.h"
 
 #include <gtest/gtest.h>
+
+#include "src/core/fault.h"
 
 namespace nadino {
 namespace {
@@ -75,6 +78,85 @@ TEST_F(FabricTest, AttachIsIdempotent) {
   fabric_.Send(1, 2, 64, [&]() { delivered = sim_.now(); });
   sim_.Run();
   EXPECT_GT(delivered, 0);
+}
+
+// A delivery functor that counts its copies (moves are free). Every copy
+// shares the two counters.
+struct CopyCountingDelivery {
+  int* copies;
+  int* calls;
+  CopyCountingDelivery(int* copies_out, int* calls_out) : copies(copies_out), calls(calls_out) {}
+  CopyCountingDelivery(const CopyCountingDelivery& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCountingDelivery(CopyCountingDelivery&&) noexcept = default;
+  CopyCountingDelivery& operator=(const CopyCountingDelivery&) = delete;
+  CopyCountingDelivery& operator=(CopyCountingDelivery&&) = delete;
+  void operator()() const { ++*calls; }
+};
+
+struct HopCounts {
+  int copies = 0;
+  int calls = 0;
+};
+
+HopCounts SendOnce(Fabric& fabric, Simulator& sim, TenantId tenant = kInvalidTenant) {
+  HopCounts counts;
+  fabric.Send(1, 2, 4096, CopyCountingDelivery(&counts.copies, &counts.calls), tenant);
+  sim.Run();
+  return counts;
+}
+
+TEST_F(FabricTest, FaultFreeHopsNeverCopyTheDelivery) {
+  const HopCounts counts = SendOnce(fabric_, sim_);
+  EXPECT_EQ(counts.copies, 0);
+  EXPECT_EQ(counts.calls, 1);
+}
+
+TEST_F(FabricTest, DelayedHopsNeverCopyTheDelivery) {
+  for (const FaultSite site : {FaultSite::kFabric, FaultSite::kLink}) {
+    env_.faults().Clear();
+    FaultSpec delay;
+    delay.site = site;
+    delay.action = FaultAction::kDelay;
+    delay.delay = 5 * kMicrosecond;
+    ASSERT_GE(env_.faults().Install(delay), 0);
+    const HopCounts counts = SendOnce(fabric_, sim_);
+    EXPECT_EQ(counts.copies, 0);
+    EXPECT_EQ(counts.calls, 1);
+  }
+}
+
+TEST_F(FabricTest, FabricDuplicateCopiesTheDeliveryOnce) {
+  FaultSpec dup;
+  dup.site = FaultSite::kFabric;
+  dup.action = FaultAction::kDuplicate;
+  dup.max_injections = 1;
+  ASSERT_GE(env_.faults().Install(dup), 0);
+  const HopCounts counts = SendOnce(fabric_, sim_);
+  EXPECT_EQ(counts.copies, 1);
+  EXPECT_EQ(counts.calls, 2);
+}
+
+TEST_F(FabricTest, LinkDuplicatesCopyTheDeliveryOncePerInjection) {
+  // Unlimited kLink duplicates: the uplink duplicates once, then each of the
+  // two copies is duplicated again on the downlink — three injections.
+  FaultSpec dup;
+  dup.site = FaultSite::kLink;
+  dup.action = FaultAction::kDuplicate;
+  ASSERT_GE(env_.faults().Install(dup), 0);
+  const HopCounts counts = SendOnce(fabric_, sim_, /*tenant=*/4);
+  MetricLabels up;
+  up.tenant = 4;
+  up.node = 1;
+  MetricLabels down = up;
+  down.node = 2;
+  const uint64_t injected = env_.metrics().ValueOf("fault_injected_link_duplicate", up) +
+                            env_.metrics().ValueOf("fault_injected_link_duplicate", down);
+  EXPECT_EQ(injected, 3u);
+  EXPECT_EQ(counts.copies, 3);
+  EXPECT_EQ(counts.calls, 4);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/experiments.h"
 #include "src/runtime/message_header.h"
 
@@ -259,6 +263,121 @@ TEST_F(NetworkEngineTest, DwrrSchedulerSharesEngineBandwidthByWeight) {
   ASSERT_GT(served2, 2u);
   const double ratio = static_cast<double>(served1) / static_cast<double>(served2);
   EXPECT_NEAR(ratio, 3.0, 0.8);
+}
+
+// The replenisher visits only tenants with consumed CQEs or carried debt,
+// yet posts exactly what a sweep over every tenant would: 64 tenants are
+// attached, three carry traffic, and one of those runs its pool dry.
+TEST_F(NetworkEngineTest, ReplenishRepostsConsumedCountsAndCarriesDebt) {
+  constexpr TenantId kTenants = 64;
+  constexpr TenantId kStarved = 50;  // Its receive-side pool has 6 buffers.
+  const std::vector<std::pair<TenantId, int>> traffic = {{7, 3}, {21, 2}, {kStarved, 3}};
+  for (TenantId t = 2; t <= kTenants; ++t) {
+    const size_t receive_buffers = t == kStarved ? 6 : 16;
+    cluster_->worker(0)->tenants().CreatePool(t, "tx_" + std::to_string(t), {16, 1024});
+    cluster_->worker(1)->tenants().CreatePool(t, "rx_" + std::to_string(t),
+                                              {receive_buffers, 1024});
+  }
+  NetworkEngine::Config config;
+  config.initial_recv_buffers = 4;
+  NetworkEngine* a = MakeEngine(0, config);
+  NetworkEngine* b = MakeEngine(1, config);
+  for (TenantId t = 1; t <= kTenants; ++t) {
+    ASSERT_TRUE(a->AttachTenant(t, 1));
+    ASSERT_TRUE(b->AttachTenant(t, 1));
+  }
+  Simulator& sim = cluster_->sim();
+  ASSERT_EQ(sim.now(), 0);
+  a->Start();
+  b->Start();  // Ticks at 20, 40, 60, ... us.
+
+  // The starved tenant's endpoint holds its buffers until released.
+  std::vector<Buffer*> held;
+  BufferPool* starved_pool = cluster_->worker(1)->tenants().PoolOfTenant(kStarved);
+  for (const auto& [tenant, messages] : traffic) {
+    const FunctionId fn = 100 + tenant;
+    cluster_->routing().Place(fn, cluster_->worker(1)->id());
+    a->PrewarmPeer(b, tenant, 1);
+    BufferPool* rx_pool = cluster_->worker(1)->tenants().PoolOfTenant(tenant);
+    b->SetEngineEndpoint(fn, [&held, b, rx_pool, starved = tenant == kStarved](Buffer* buffer) {
+      if (starved) {
+        held.push_back(buffer);
+      } else {
+        rx_pool->Put(buffer, b->owner_id());
+      }
+    });
+    BufferPool* tx_pool = cluster_->worker(0)->tenants().PoolOfTenant(tenant);
+    for (int i = 0; i < messages; ++i) {
+      Buffer* out = tx_pool->Get(a->owner_id());
+      ASSERT_NE(out, nullptr);
+      MessageHeader header;
+      header.src = 1;
+      header.dst = fn;
+      header.payload_length = 64;
+      header.request_id = static_cast<uint64_t>(i);
+      ASSERT_TRUE(WriteMessage(out, header));
+      sim.ScheduleAt(22 * kMicrosecond, [a, tenant, out]() { a->SendFromEngine(tenant, out); });
+    }
+  }
+  sim.ScheduleAt(70 * kMicrosecond, [&held, b, starved_pool]() {
+    for (Buffer* buffer : held) {
+      starved_pool->Put(buffer, b->owner_id());
+    }
+    held.clear();
+  });
+
+  RdmaEngine& rnic = cluster_->worker(1)->rnic();
+  FifoResource& core_thread = cluster_->worker(1)->dpu()->core(config.core_thread_index);
+  auto depths = [&rnic]() {
+    std::vector<size_t> d;
+    for (TenantId t = 1; t <= kTenants; ++t) {
+      d.push_back(rnic.SrqOfTenant(t).depth());
+    }
+    return d;
+  };
+  auto charge = [this](SimDuration posted) {
+    return static_cast<SimDuration>(static_cast<double>(300 + 150 * posted) *
+                                        cost_.dpu_speed_factor +
+                                    0.5);
+  };
+  // Expected SRQ depths after each tick: every tenant starts with 4.
+  std::vector<size_t> expected(kTenants, 4);
+  auto at = [&expected](TenantId t) -> size_t& { return expected[t - 1]; };
+
+  sim.RunUntil(21 * kMicrosecond);  // Tick 20 us: nothing consumed yet.
+  EXPECT_EQ(depths(), expected);
+  EXPECT_EQ(core_thread.busy_time(), charge(0));
+  SimDuration busy = core_thread.busy_time();
+
+  sim.RunUntil(39 * kMicrosecond);  // All 8 messages consumed before tick 40.
+  ASSERT_EQ(b->stats().rx_messages, 8u);
+  ASSERT_EQ(held.size(), 3u);
+  EXPECT_EQ(b->stats().replenish_failures, 0u);
+
+  sim.RunUntil(50 * kMicrosecond);  // Tick 40 us: 3 + 2 + 2 of 3 (pool dry).
+  at(kStarved) = 3;
+  EXPECT_EQ(depths(), expected);
+  EXPECT_EQ(core_thread.busy_time() - busy, charge(3 + 2 + 2));
+  EXPECT_EQ(b->stats().replenish_failures, 1u);
+  busy = core_thread.busy_time();
+
+  sim.RunUntil(65 * kMicrosecond);  // Tick 60 us: the debt of 1 finds no buffer.
+  EXPECT_EQ(depths(), expected);
+  EXPECT_EQ(core_thread.busy_time() - busy, charge(0));
+  EXPECT_EQ(b->stats().replenish_failures, 2u);
+  busy = core_thread.busy_time();
+
+  sim.RunUntil(90 * kMicrosecond);  // Buffers back at 70 us; tick 80 us pays the debt.
+  at(kStarved) = 4;
+  EXPECT_EQ(depths(), expected);
+  EXPECT_EQ(core_thread.busy_time() - busy, charge(1));
+  EXPECT_EQ(b->stats().replenish_failures, 2u);
+  busy = core_thread.busy_time();
+
+  sim.RunUntil(110 * kMicrosecond);  // Tick 100 us: nothing due, debt settled.
+  EXPECT_EQ(depths(), expected);
+  EXPECT_EQ(core_thread.busy_time() - busy, charge(0));
+  EXPECT_EQ(b->rbr().outstanding(), static_cast<size_t>(4 * kTenants));
 }
 
 }  // namespace

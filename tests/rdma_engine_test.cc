@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/core/fault.h"
 #include "src/mem/tenant_registry.h"
 
 namespace nadino {
@@ -250,6 +254,142 @@ TEST_F(RdmaEngineTest, TwoSided64ByteEchoPathLatencyIsMicroseconds) {
   sim_.Run();
   EXPECT_GT(arrival, 1 * kMicrosecond);
   EXPECT_LT(arrival, 6 * kMicrosecond);
+}
+
+// --- ACK deadlines -----------------------------------------------------------
+
+// Drops every packet node 1 (engine A) puts on the fabric, up to `count`.
+void DropFromNodeOne(Env& env, uint64_t count) {
+  FaultSpec drop;
+  drop.site = FaultSite::kFabric;
+  drop.action = FaultAction::kDrop;
+  drop.node = 1;
+  drop.max_injections = count;
+  ASSERT_GE(env.faults().Install(drop), 0);
+}
+
+uint64_t AckTimeouts(Env& env, TenantId tenant) {
+  MetricLabels labels = MetricLabels::Node(1);
+  labels.tenant = static_cast<int64_t>(tenant);
+  return env.metrics().ValueOf("rnic_ack_timeouts", labels);
+}
+
+TEST_F(RdmaEngineTest, LostSendTimesOutExactlyAtItsAckDeadline) {
+  DropFromNodeOne(env_, 1);
+  PostRecvs(1);
+  sim_.RunFor(3 * kMicrosecond);
+  const SimTime deadline = sim_.now() + cost_.rnic_ack_timeout;
+  std::vector<std::string> order;
+  Completion done;
+  SimTime done_at = -1;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    done = cqe;
+    done_at = sim_.now();
+    order.push_back("timeout");
+  });
+  // Same-instant ties scheduled just before and just after the post: the
+  // timeout runs between them, exactly where its own event would have.
+  sim_.ScheduleAt(deadline, [&] { order.push_back("before"); });
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 42));
+  sim_.ScheduleAt(deadline, [&] { order.push_back("after"); });
+  sim_.Run();
+  EXPECT_EQ(done_at, deadline);
+  EXPECT_EQ(done.wr_id, 42u);
+  EXPECT_EQ(done.opcode, RdmaOpcode::kSend);
+  EXPECT_EQ(done.status, WrStatus::kTransportError);
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "timeout", "after"}));
+  EXPECT_EQ(AckTimeouts(env_, kTenant), 1u);
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+}
+
+TEST_F(RdmaEngineTest, TimeoutHookMayPostTheNextWr) {
+  DropFromNodeOne(env_, 3);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  struct Done {
+    uint64_t wr_id;
+    SimTime at;
+    WrStatus status;
+  };
+  std::vector<Done> done;
+  auto record = [&](const Completion& cqe) {
+    done.push_back(Done{cqe.wr_id, sim_.now(), cqe.status});
+  };
+  WorkRequest wr;
+  wr.src = src;
+  wr.wr_id = 1;
+  const SimTime t0 = sim_.now();
+  // WR 1's timeout hook posts WR 3 while WR 2's deadline is still pending.
+  ASSERT_TRUE(a_.PostWr(qp_a_, wr, [&](const Completion& cqe) {
+    record(cqe);
+    WorkRequest next;
+    next.src = src;
+    next.wr_id = 3;
+    ASSERT_TRUE(a_.PostWr(qp_a_, next, record));
+  }));
+  sim_.RunFor(kMicrosecond);
+  const SimDuration timeout = cost_.rnic_ack_timeout;
+  wr.wr_id = 2;
+  ASSERT_TRUE(a_.PostWr(qp_a_, wr, record));
+  // WR 2's timer is set only when WR 1's fires, yet it keeps the seq of
+  // WR 2's post: it still precedes this same-instant marker (wr_id 0).
+  sim_.ScheduleAt(sim_.now() + timeout,
+                  [&] { done.push_back(Done{0, sim_.now(), WrStatus::kSuccess}); });
+  sim_.Run();
+  ASSERT_EQ(done.size(), 4u);
+  EXPECT_EQ(done[0].wr_id, 1u);
+  EXPECT_EQ(done[0].at, t0 + timeout);
+  EXPECT_EQ(done[1].wr_id, 2u);
+  EXPECT_EQ(done[1].at, t0 + kMicrosecond + timeout);
+  EXPECT_EQ(done[2].wr_id, 0u);
+  EXPECT_EQ(done[2].at, done[1].at);
+  EXPECT_EQ(done[3].wr_id, 3u);
+  EXPECT_EQ(done[3].at, t0 + 2 * timeout);
+  for (const size_t i : {0, 1, 3}) {
+    EXPECT_EQ(done[i].status, WrStatus::kTransportError);
+  }
+  EXPECT_EQ(AckTimeouts(env_, kTenant), 3u);
+}
+
+TEST_F(RdmaEngineTest, AckedWrsLeaveAtMostOneTimerPending) {
+  constexpr int kWrs = 16;
+  PostRecvs(kWrs);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  int ok = 0;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    ok += cqe.opcode == RdmaOpcode::kSend && cqe.status == WrStatus::kSuccess ? 1 : 0;
+  });
+  for (int i = 0; i < kWrs; ++i) {
+    ASSERT_TRUE(a_.PostSend(qp_a_, *src, static_cast<uint64_t>(i + 1)));
+  }
+  sim_.RunFor(cost_.rnic_ack_timeout / 5);
+  EXPECT_EQ(ok, kWrs);
+  // Every WR was ACKed: what is left is the engine's one ACK timer.
+  EXPECT_LE(sim_.pending_events(), 1u);
+  const uint64_t events = sim_.events_processed();
+  sim_.Run();
+  EXPECT_LE(sim_.events_processed() - events, 1u);
+  EXPECT_EQ(AckTimeouts(env_, kTenant), 0u);
+}
+
+TEST_F(RdmaEngineTest, RearmedKeyTimesOutAtItsOwnDeadline) {
+  // Reusing a pending (qp, wr_id) replaces the earlier arming; the earlier
+  // deadline must not time out the re-armed WR.
+  DropFromNodeOne(env_, 2);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  std::vector<SimTime> done_at;
+  a_.cq().SetHandler([&](const Completion&) { done_at.push_back(sim_.now()); });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 7));
+  sim_.RunFor(kMillisecond);
+  const SimTime rearmed_at = sim_.now();
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 7));
+  sim_.Run();
+  EXPECT_EQ(done_at, (std::vector<SimTime>{rearmed_at + cost_.rnic_ack_timeout}));
+  EXPECT_EQ(AckTimeouts(env_, kTenant), 1u);
 }
 
 TEST(QpCacheTest, LruEvictionAndHitTracking) {

@@ -212,5 +212,60 @@ TEST(SimulatorTest, EachOversizedCaptureSpillsExactlyOnce) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
+// Runs same-instant events A, B, C at t=100 (A schedules a fourth tie, D,
+// at its own instant) after a t=50 event. B is scheduled up front (mode 0),
+// or its seq is reserved up front and B is queued later through
+// ScheduleReserved: from the t=50 event (mode 1), or from A, at B's own
+// instant (mode 2). The executed order must not depend on which.
+std::vector<int> ReservedTieOrder(int mode) {
+  Simulator sim;
+  std::vector<int> order;
+  uint64_t seq = 0;
+  auto b = [&order] { order.push_back(2); };
+  sim.ScheduleAt(100, [&sim, &order, &seq, mode, b] {
+    order.push_back(1);
+    sim.Schedule(0, [&order] { order.push_back(4); });
+    if (mode == 2) {
+      sim.ScheduleReserved(100, seq, b);
+    }
+  });
+  if (mode == 0) {
+    sim.ScheduleAt(100, b);
+  } else {
+    seq = sim.ReserveSeq();
+  }
+  sim.ScheduleAt(100, [&order] { order.push_back(3); });
+  sim.ScheduleAt(50, [&sim, &order, &seq, mode, b] {
+    order.push_back(0);
+    if (mode == 1) {
+      sim.ScheduleReserved(100, seq, b);
+    }
+  });
+  sim.Run();
+  return order;
+}
+
+TEST(SimulatorTest, ReservedSeqRunsWhereItWasReserved) {
+  const std::vector<int> direct = ReservedTieOrder(0);
+  EXPECT_EQ(direct, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ReservedTieOrder(1), direct);
+  EXPECT_EQ(ReservedTieOrder(2), direct);
+}
+
+TEST(SimulatorTest, ReservedEventIsCancellable) {
+  Simulator sim;
+  int fired = 0;
+  const uint64_t seq = sim.ReserveSeq();
+  sim.Schedule(10, [&fired] { ++fired; });
+  const EventId id = sim.ScheduleReserved(20, seq, [&fired] { fired += 100; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
 }  // namespace
 }  // namespace nadino
